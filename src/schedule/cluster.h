@@ -77,20 +77,17 @@ struct ClusterConfig {
   int64_t first_heartbeat_grace_micros = 0;
   /// Speculative execution of stragglers (ISSUE 9; kProcess mode with
   /// recovery enabled). A running task whose progress falls strictly below
-  /// speculation_quantile of its fragment siblings' progress — and whose
+  /// the median of its fragment siblings' progress — and whose
   /// progress has stalled for at least speculation_min_stall_micros
   /// (scaled up by the observed heartbeat RTT) — gets a higher-generation
   /// replica raced against it on a different live worker; the first
   /// finisher wins and the loser is aborted with task-scoped kCancelled.
   /// max_speculative_tasks bounds concurrent replicas per query; 0
-  /// disables speculation entirely.
+  /// disables speculation entirely. The quantile and the minimum sibling
+  /// count are SpeculationPolicy's defaults.
   int max_speculative_tasks = 0;
-  double speculation_quantile = 0.5;
-  /// Minimum sibling samples per fragment before quantiles mean anything;
-  /// single-task fragments are never speculated.
-  int speculation_min_samples = 2;
   int64_t speculation_min_stall_micros = 1'000'000;
-  /// Progress-sampling cadence of the SpeculationManager.
+  /// Progress-sampling cadence of the speculation tick.
   int64_t speculation_interval_micros = 50'000;
   /// Cross-process trace shipping (ISSUE 10): when a traced query runs in
   /// kProcess mode, ask workers to record spans and ship them back on

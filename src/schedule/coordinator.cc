@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
-#include <tuple>
+#include <map>
 
 #include "common/stopwatch.h"
 #include "metadata/metadata_manager.h"
@@ -28,6 +27,16 @@ bool ContainsTableWrite(const PlanNodePtr& node) {
     if (ContainsTableWrite(c)) return true;
   }
   return false;
+}
+
+QueryStats CollectStats(
+    const std::vector<std::shared_ptr<TaskClient>>& clients, int64_t peak) {
+  std::vector<TaskStats> task_stats;
+  for (const auto& client : clients) {
+    task_stats.push_back(client->CollectStats());
+    peak = std::max(peak, client->peak_user_memory_bytes());
+  }
+  return BuildQueryStats(std::move(task_stats), peak);
 }
 
 }  // namespace
@@ -65,30 +74,21 @@ QueryExecution::~QueryExecution() {
   }
   // Tear down any still-running tasks (client abandoned the query) and wait
   // for them: executor callbacks and operators reference our members. Only
-  // a launched execution may wait — if Execute() failed before registering
-  // the tasks, no callback will ever fire and Wait() would hang.
-  if (launched_) {
-    bool running;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      running = remaining_tasks_ > 0;
-    }
-    if (running) Cancel(Status::Cancelled("query abandoned"));
-    (void)Wait();
-  }
-  // Wait() needed the recovery thread alive (it discharges accounting
-  // holds); stop it only now, before members it touches are destroyed. If
-  // Execute() bailed before completing its launch loop, release the
-  // launch gate first so a queued RunRecovery cannot block Stop() forever.
+  // a launched execution may wait — if Execute() failed before launching,
+  // no callback will ever fire and Wait() would hang.
+  bool launched;
+  bool running;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    launch_complete_ = true;
+    launched = phase_ != Phase::kLaunching;
+    running = launched && slots_->outstanding() > 0;
   }
-  done_cv_.notify_all();
-  if (recovery_ != nullptr) recovery_->Stop();
-  // Same for the speculation thread: Wait() may have needed a queued
-  // promotion to discharge a won replica's held callback.
-  if (speculation_ != nullptr) speculation_->Stop();
+  if (running) Cancel(Status::Cancelled("query abandoned"));
+  if (launched) (void)Wait();
+  // Wait() needed the job thread alive (its recovery rounds and
+  // promotions discharge held callbacks); stop it only now, before members
+  // it touches are destroyed.
+  if (jobs_ != nullptr) jobs_->Stop();
   stop_split_thread_.store(true);
   if (split_thread_.joinable()) split_thread_.join();
   stop_fetch_thread_.store(true);
@@ -103,22 +103,19 @@ QueryExecution::~QueryExecution() {
   // fragment serialization, task Initialize); no task callback will ever
   // reach FinalizeLocked() then, so the admission slot must be released
   // here or repeated failures wedge max_concurrent_queries. For launched
-  // executions Wait() + the thread joins above guarantee finalization
-  // already ran (and cleared on_complete_), making this a no-op.
+  // executions finalization already ran and cleared on_complete_.
   std::function<void()> release_slot;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!finalized_ && on_complete_) {
-      release_slot = std::move(on_complete_);
-      on_complete_ = nullptr;
-    }
+    release_slot = std::move(on_complete_);
+    on_complete_ = nullptr;
   }
   if (release_slot) release_slot();
 }
 
 Status QueryExecution::Wait() {
   std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this] { return remaining_tasks_ == 0; });
+  done_cv_.wait(lock, [this] { return slots_->outstanding() == 0; });
   return final_status_;
 }
 
@@ -138,69 +135,43 @@ void QueryExecution::Cancel(const Status& reason) {
 }
 
 void QueryExecution::AbortAllTasks() {
-  std::vector<std::shared_ptr<TaskClient>> snapshot;
+  std::vector<std::shared_ptr<TaskClient>> clients;
   {
-    std::lock_guard<std::mutex> tlock(tasks_mu_);
-    for (auto& fragment_tasks : tasks_) {
-      for (auto& task : fragment_tasks) snapshot.push_back(task);
-    }
-    // Speculative replicas race outside tasks_ but must die with the query.
-    for (auto& [slot, replica] : spec_replicas_) {
-      snapshot.push_back(replica.client);
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    clients = slots_->AllClients(/*with_replicas=*/true);
   }
-  for (auto& task : snapshot) task->Abort();
+  for (auto& client : clients) client->Abort();
 }
 
 std::vector<TaskProgress> QueryExecution::TaskProgressSnapshot() const {
   std::vector<TaskProgress> progress;
-  std::lock_guard<std::mutex> tlock(tasks_mu_);
-  for (size_t f = 0; f < tasks_.size(); ++f) {
-    for (size_t t = 0; t < tasks_[f].size(); ++t) {
-      const std::shared_ptr<TaskClient>& task = tasks_[f][t];
-      if (task == nullptr) continue;
-      TaskProgress entry;
-      entry.fragment_id = static_cast<int>(f);
-      entry.task_index = static_cast<int>(t);
-      if (f < placement_.size() && t < placement_[f].size()) {
-        entry.worker = placement_[f][t];
-      }
-      if (f < generations_.size() && t < generations_[f].size()) {
-        entry.generation = generations_[f][t];
-      }
-      // Leaf locks (the client's status cache); safe under tasks_mu_.
-      entry.rows_out = task->rows_out();
-      entry.progress_age_micros = task->progress_age_micros();
-      progress.push_back(entry);
+  std::lock_guard<std::mutex> lock(mu_);
+  for (int f = 0; f < slots_->num_fragments(); ++f) {
+    for (int t = 0; t < slots_->num_tasks(f); ++t) {
+      const Incarnation& current = slots_->slot(f, t).current;
+      // Leaf locks (the client's status cache); safe under mu_.
+      progress.push_back({f, t, current.worker, current.generation,
+                          current.client->rows_out(),
+                          current.client->progress_age_micros()});
     }
   }
   return progress;
 }
 
 QueryStats QueryExecution::StatsSnapshot() const {
-  std::vector<std::shared_ptr<TaskClient>> snapshot;
+  std::vector<std::shared_ptr<TaskClient>> clients;
   {
-    std::lock_guard<std::mutex> tlock(tasks_mu_);
-    for (const auto& fragment_tasks : tasks_) {
-      for (const auto& task : fragment_tasks) snapshot.push_back(task);
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    clients = slots_->AllClients(/*with_replicas=*/false);
   }
-  std::vector<TaskStats> task_stats;
-  int64_t peak = memory_->peak_user();
-  for (const auto& task : snapshot) {
-    task_stats.push_back(task->CollectStats());
-    peak = std::max(peak, task->peak_user_memory_bytes());
-  }
-  return BuildQueryStats(std::move(task_stats), peak);
+  return CollectStats(clients, memory_->peak_user());
 }
 
 int64_t QueryExecution::total_cpu_nanos() const {
-  std::lock_guard<std::mutex> tlock(tasks_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   int64_t total = 0;
-  for (const auto& fragment_tasks : tasks_) {
-    for (const auto& task : fragment_tasks) {
-      total += task->cpu_nanos();
-    }
+  for (const auto& client : slots_->AllClients(/*with_replicas=*/false)) {
+    total += client->cpu_nanos();
   }
   return total;
 }
@@ -214,140 +185,88 @@ int QueryExecution::active_writers(int fragment) const {
   return counter == nullptr ? -1 : counter->load();
 }
 
+void QueryExecution::TraceSlot(
+    const char* name, int fragment, int task, int generation,
+    std::vector<std::pair<std::string, std::string>> extra) {
+  if (lifecycle_ == nullptr || lifecycle_->trace() == nullptr) return;
+  std::vector<std::pair<std::string, std::string>> args = {
+      {"fragment", std::to_string(fragment)},
+      {"task", std::to_string(task)},
+      {"generation", std::to_string(generation)}};
+  args.insert(args.end(), extra.begin(), extra.end());
+  lifecycle_->trace()->RecordInstant("coordinator", name, 0, 0,
+                                     std::move(args));
+}
+
 void QueryExecution::OnTaskDone(int fragment, int task, int generation,
                                 const Status& status) {
-  // NOTE: once remaining_tasks_ hits zero, a waiter in Wait() may destroy
-  // this object — and the engine around it — the moment mu_ is released, so
-  // ALL finalization (resource release, exchange cleanup, lifecycle, the
-  // admission-slot callback) must complete under the lock; a waiter cannot
-  // wake before the unlock. Touch no members after the scope ends.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    size_t f = static_cast<size_t>(fragment);
-    size_t t = static_cast<size_t>(task);
-    if (recovery_enabled_) {
-      bool stale = false;
-      bool absorbed = false;
-      bool replica_won = false;
-      bool replica_lost = false;
-      std::shared_ptr<TaskClient> losing_replica;
-      {
-        std::lock_guard<std::mutex> tlock(tasks_mu_);
-        auto rit = spec_replicas_.find({fragment, task});
-        if (rit != spec_replicas_.end() &&
-            rit->second.generation == generation) {
-          // A speculative replica's terminal callback (ISSUE 9). The
-          // registry entry — not the generation table — identifies it:
-          // replicas run at generations_[f][t]+1 without bumping the table
-          // until promotion.
-          if (speculation_ != nullptr && status.ok() && !rit->second.won &&
-              !slot_finished_[f][t] && !finished_ && !memory_->killed()) {
-            // The replica finished first. Hold the callback (no accounting
-            // yet, mirroring the recovery holds): the promotion job decides
-            // commit-vs-abandon atomically against the result stream and
-            // any concurrent recovery round.
-            rit->second.won = true;
-            replica_won = true;
-          } else {
-            // Failed, cancelled, or the original beat it: speculation
-            // lost. The client is parked like any superseded client (its
-            // poll thread may be the very thread delivering this).
-            rit->second.client->MarkSuperseded();
-            superseded_clients_.push_back(rit->second.client);
-            spec_replicas_.erase(rit);
-            replica_lost = true;
-          }
-        } else if (generation != generations_[f][t]) {
-          stale = true;
-        } else if (!status.ok() && !finished_ && !memory_->killed() &&
-                   status.code() != StatusCode::kCancelled &&
-                   !slot_recovering_[f][t] && tasks_[f][t]->worker_lost() &&
-                   retry_counts_[f][t] < max_task_retries_) {
-          // Worker-loss failure with retry budget left: absorb it into a
-          // recovery request. The slot keeps its place in remaining_tasks_
-          // (the "hold") until the recovery thread launches a replacement
-          // or gives up and fails the query.
-          slot_recovering_[f][t] = true;
-          absorbed = true;
-        } else if (status.ok()) {
-          slot_finished_[f][t] = true;
-          auto ait = spec_replicas_.find({fragment, task});
-          if (ait != spec_replicas_.end() && !ait->second.won) {
-            // The original out-raced its replica: abort the loser with a
-            // task-scoped kCancelled; its callback settles above.
-            losing_replica = ait->second.client;
-          }
-        }
+  // NOTE: once no callback is outstanding, a waiter in Wait() may destroy
+  // this object — and the engine around it — the moment mu_ is released,
+  // so ALL finalization (resource release, exchange cleanup, lifecycle,
+  // the admission-slot callback) must complete under the lock; a waiter
+  // cannot wake before the unlock. Touch no members after the scope ends.
+  std::lock_guard<std::mutex> lock(mu_);
+  switch (slots_->Settle(fragment, task, generation, status,
+                         !SettledLocked())) {
+    case SlotTable::Settled::kReplicaWon:
+      // Held: the promotion job decides commit-vs-abandon atomically
+      // against the result stream and any concurrent recovery round.
+      jobs_->Enqueue([this, fragment, task, generation] {
+        RunPromotion(fragment, task, generation);
+      });
+      return;
+    case SlotTable::Settled::kAbsorbed:
+      // The slot's hold lasts until the recovery thread re-launches it or
+      // gives up and fails the query.
+      jobs_->Enqueue([this, fragment, task, generation, status] {
+        RunRecovery(fragment, task, generation, status);
+      });
+      return;
+    case SlotTable::Settled::kReplicaLost:
+      TraceSlot("speculation_lose", fragment, task, generation);
+      break;
+    case SlotTable::Settled::kStale:
+      break;
+    case SlotTable::Settled::kCounted:
+      if (!status.ok() && phase_ < Phase::kFinishing &&
+          status.code() != StatusCode::kCancelled) {
+        FailLocked(status);
       }
-      if (replica_won) {
-        QueryExecution* self = this;
-        speculation_->Enqueue([self, fragment, task, generation] {
-          self->RunPromotion(fragment, task, generation);
-        });
-        return;
+      if (fragment == plan_.root_id && !process_mode_ &&
+          phase_ < Phase::kFinishing && slots_->FragmentDone(fragment)) {
+        // Root produced everything: complete the result stream and tear
+        // down any still-running upstream producers (e.g. after LIMIT). In
+        // process mode the result-fetch thread finishes the stream
+        // instead, once it drained the root task's output buffer.
+        phase_ = Phase::kFinishing;
+        results_.Finish(Status::OK());
+        memory_->Kill(Status::Cancelled("query completed"));
       }
-      if (replica_lost) {
-        --remaining_tasks_;
-        if (lifecycle_ != nullptr && lifecycle_->trace() != nullptr) {
-          lifecycle_->trace()->RecordInstant(
-              "coordinator", "speculation_lose", 0, 0,
-              {{"fragment", std::to_string(fragment)},
-               {"task", std::to_string(task)},
-               {"generation", std::to_string(generation)}});
-        }
-        FinishIfDrainedLocked();
-        done_cv_.notify_all();
-        return;
-      }
-      if (losing_replica != nullptr) losing_replica->Abort();
-      if (stale) {
-        // A superseded incarnation settled: the recovery round that
-        // replaced it already re-accounted the slot, so only the callback
-        // count drops here. Its status — success or failure — is moot.
-        --remaining_tasks_;
-        FinishIfDrainedLocked();
-        done_cv_.notify_all();
-        return;
-      }
-      if (absorbed) {
-        recovery_pause_.store(true);
-        recovery_->Enqueue({fragment, task, generation, status});
-        return;
-      }
-    }
-    --remaining_tasks_;
-    --fragment_remaining_[f];
-    if (fragment_remaining_[f] == 0) {
-      fragment_done_[f] = true;
-    }
-    if (!status.ok() && !finished_ &&
-        status.code() != StatusCode::kCancelled) {
-      final_status_ = status;
-      finished_ = true;
-      results_.Finish(status);
-      memory_->Kill(status);
-      // Stop the surviving remote tasks too; killing the coordinator-side
-      // memory context does not reach them.
-      if (process_mode_) AbortAllTasks();
-    }
-    if (fragment == plan_.root_id && fragment_done_[f] && !finished_ &&
-        !process_mode_) {
-      // Root produced everything: complete the result stream and tear down
-      // any still-running upstream producers (e.g. after LIMIT). In
-      // process mode the result-fetch thread finishes the stream instead,
-      // once it drained the root task's output buffer.
-      finished_ = true;
-      results_.Finish(Status::OK());
-      memory_->Kill(Status::Cancelled("query completed"));
-    }
-    FinishIfDrainedLocked();
-    done_cv_.notify_all();
+      break;
   }
+  FinishIfDrainedLocked();
+  done_cv_.notify_all();
+}
+
+void QueryExecution::FailLocked(const Status& cause) {
+  final_status_ = cause;
+  phase_ = Phase::kFinishing;
+  results_.Finish(cause);
+  memory_->Kill(cause);
+  // Stop the surviving remote tasks too; killing the coordinator-side
+  // memory context does not reach them.
+  if (process_mode_) {
+    for (auto& client : slots_->AllClients(/*with_replicas=*/true)) {
+      client->Abort();
+    }
+  }
+  // No replacement or promotion will consume the holds anymore.
+  slots_->DischargeAll();
 }
 
 void QueryExecution::FinishIfDrainedLocked() {
-  if (remaining_tasks_ != 0) return;
-  if (!finished_ && process_mode_ && final_status_.ok() &&
+  if (slots_->outstanding() != 0) return;
+  if (phase_ < Phase::kFinishing && process_mode_ && final_status_.ok() &&
       !results_.finished()) {
     // A successful out-of-process query: the root task finished, but
     // its output buffer may still hold pages the result-fetch thread
@@ -355,328 +274,183 @@ void QueryExecution::FinishIfDrainedLocked() {
     // worker-side tasks, which drops that buffer) now would lose
     // them, so the fetch thread finishes the stream and runs
     // FinalizeLocked() once the buffer reports complete.
-    defer_finalize_ = true;
-  } else {
-    if (!finished_) {
-      finished_ = true;
-      results_.Finish(final_status_);
-    }
-    FinalizeLocked();
+    phase_ = Phase::kDeferred;
+    return;
   }
+  if (phase_ < Phase::kFinishing) results_.Finish(final_status_);
+  FinalizeLocked();
 }
 
-void QueryExecution::DischargeRecoveryHoldsLocked() {
-  for (size_t f = 0; f < slot_recovering_.size(); ++f) {
-    for (size_t t = 0; t < slot_recovering_[f].size(); ++t) {
-      if (!slot_recovering_[f][t]) continue;
-      slot_recovering_[f][t] = false;
-      --remaining_tasks_;
-      --fragment_remaining_[f];
-      if (fragment_remaining_[f] == 0) fragment_done_[f] = true;
-    }
+std::vector<int> QueryExecution::LiveWorkers() const {
+  std::vector<int> alive;
+  for (int w = 0; w < cluster_->num_workers(); ++w) {
+    if (cluster_->liveness().IsAlive(w)) alive.push_back(w);
   }
+  return alive;
+}
+
+void QueryExecution::RebindRootLocked() {
+  const Incarnation& root = slots_->slot(plan_.root_id, 0).current;
+  ++root_epoch_;
+  root_fetch_port_ = cluster_->http_port(root.worker);
+  root_fetch_generation_ = root.generation;
 }
 
 void QueryExecution::OnWorkerDeath(int worker) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (finished_ || finalized_ || defer_finalize_ || memory_->killed()) {
-    return;
-  }
-  std::lock_guard<std::mutex> tlock(tasks_mu_);
+  if (SettledLocked()) return;
   // Every slot hosted on the dead worker becomes a recovery request —
   // including finished ones, whose retained replay buffers died with the
-  // process; RunRecovery prunes the ones nobody still needs.
-  for (size_t f = 0; f < placement_.size(); ++f) {
-    for (size_t t = 0; t < placement_[f].size(); ++t) {
-      if (placement_[f][t] != worker || slot_recovering_[f][t]) continue;
-      recovery_pause_.store(true);
-      recovery_->Enqueue(
-          {static_cast<int>(f), static_cast<int>(t), generations_[f][t],
-           Status::IOError("worker " + std::to_string(worker) +
-                           " lost: missed heartbeats past liveness "
-                           "timeout")});
+  // process; Recover prunes the ones nobody still needs.
+  for (int f = 0; f < slots_->num_fragments(); ++f) {
+    for (int t = 0; t < slots_->num_tasks(f); ++t) {
+      const TaskSlot& slot = slots_->slot(f, t);
+      if (slot.current.worker != worker ||
+          slot.state == SlotState::kRecovering) {
+        continue;
+      }
+      jobs_->Enqueue([this, f, t, generation = slot.current.generation,
+                      worker] {
+        RunRecovery(f, t, generation,
+                    Status::IOError("worker " + std::to_string(worker) +
+                                    " lost: missed heartbeats past "
+                                    "liveness timeout"));
+      });
     }
   }
 }
 
-void QueryExecution::RunRecovery(const RecoveryRequest& request) {
-  // Enqueuers set the pause too, but the previous request of a multi-slot
-  // round cleared it on completion; re-assert it here so the flag is
-  // reliably up BEFORE this round swaps any client. Together with the
-  // split loop re-checking it under tasks_mu_, that makes the pause a hard
-  // barrier: no split can be delivered to a fresh client in the window
-  // between the swap and the journal replay (where the replay would then
-  // deliver it a second time).
-  recovery_pause_.store(true);
+void QueryExecution::RunRecovery(int fragment, int task, int generation,
+                                 const Status& cause) {
+  using Outcome = SlotTable::Recovery::Outcome;
   Stopwatch timer;
   TraceRecorder* trace =
       lifecycle_ != nullptr ? lifecycle_->trace().get() : nullptr;
   int64_t span_start = trace != nullptr ? trace->NowNanos() : 0;
-
-  struct Replacement {
-    int fragment;
-    int task;
-    int generation;
-    std::shared_ptr<TaskClient> client;
-  };
-  std::vector<Replacement> replacements;
-  bool failed_query = false;
+  std::vector<SlotTable::Launch> launches;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    // A worker can die while Execute()'s launch loop is still issuing the
-    // gen-0 creates; recovering before the loop finishes would mutate
-    // tasks_ under its feet (and double-Launch replacements). Wait it out.
-    done_cv_.wait(lock, [this] { return launch_complete_; });
-    if (finished_ || finalized_ || defer_finalize_ || memory_->killed()) {
-      // The query settled (or is settling) — nothing to recover; convert
-      // any absorbed holds back into completions so Wait() can drain.
+    // A worker can die while Execute() still issues the generation-0
+    // creates; no slot gets a replacement before that loop is done.
+    done_cv_.wait(lock, [this] { return phase_ != Phase::kLaunching; });
+    if (SettledLocked()) {
+      // Nothing to recover; turn absorbed holds back into completions so
+      // Wait() can drain.
+      slots_->DischargeAll();
+    } else {
+      SlotTable::Recovery r;
+      int64_t delivered;
       {
-        std::lock_guard<std::mutex> tlock(tasks_mu_);
-        DischargeRecoveryHoldsLocked();
-        DischargeSpeculationLocked();
+        // Held from the replayability check through the rebind: a result
+        // batch committed meanwhile is either counted here or dropped by
+        // the fetch loop's epoch check.
+        std::lock_guard<std::mutex> flock(fetch_mu_);
+        delivered = root_frames_consumed_;
+        r = slots_->Recover(fragment, task, generation, LiveWorkers(),
+                            !results_.finished(), delivered == 0);
+        if (r.outcome == Outcome::kRestarted && r.restarts_root) {
+          RebindRootLocked();
+        }
       }
-      FinishIfDrainedLocked();
-      done_cv_.notify_all();
-      recovery_pause_.store(false);
-      return;
-    }
-    Status cause = request.cause;
-    std::vector<std::pair<int, int>> restart;
-    int dead = -1;
-    {
-      std::lock_guard<std::mutex> tlock(tasks_mu_);
-      size_t rf = static_cast<size_t>(request.fragment);
-      size_t rt = static_cast<size_t>(request.task);
-      if (request.generation != generations_[rf][rt]) {
-        // An earlier round already replaced this incarnation.
-        recovery_pause_.store(false);
-        return;
-      }
-      dead = placement_[rf][rt];
-      std::vector<std::vector<int>> inputs_of(plan_.fragments.size());
-      for (const auto& fragment : plan_.fragments) {
-        inputs_of[static_cast<size_t>(fragment.id)] = fragment.inputs;
-      }
-      restart = ComputeRestartSet(placement_, slot_finished_, inputs_of,
-                                  plan_.root_id, !results_.finished(), dead);
-      if (restart.empty()) {
-        // Nobody needs the dead worker's output anymore (e.g. LIMIT cut
-        // its consumers off). Settle the requesting slot's hold, if any.
-        if (slot_recovering_[rf][rt]) {
-          slot_recovering_[rf][rt] = false;
-          --remaining_tasks_;
-          --fragment_remaining_[rf];
-          if (fragment_remaining_[rf] == 0) fragment_done_[rf] = true;
-        }
-      } else {
-        // Retry budget: every slot that dies with its worker consumes one
-        // retry; closure-collateral restarts on live workers do not.
-        for (const auto& [f, t] : restart) {
-          if (placement_[static_cast<size_t>(f)][static_cast<size_t>(t)] ==
-                  dead &&
-              retry_counts_[static_cast<size_t>(f)]
-                           [static_cast<size_t>(t)] >= max_task_retries_) {
-            failed_query = true;
-            break;
-          }
-        }
-        std::vector<int> alive;
-        for (int w = 0; w < cluster_->num_workers(); ++w) {
-          if (w != dead && cluster_->liveness().IsAlive(w)) {
-            alive.push_back(w);
-          }
-        }
-        if (!failed_query && alive.empty()) {
-          failed_query = true;
-          cause = Status::IOError("no live worker left to host replacement "
-                                  "tasks (" + cause.message() + ")");
-        }
-        bool restarts_root = false;
-        for (const auto& [f, t] : restart) {
-          if (f == plan_.root_id) restarts_root = true;
-        }
-        std::unique_lock<std::mutex> flock(fetch_mu_, std::defer_lock);
-        if (!failed_query && restarts_root) {
-          // May wait for an in-flight result batch to commit its frame
-          // count; a batch committed after this lock lands is either
-          // counted here or dropped by the fetch loop's epoch check.
-          flock.lock();
-          if (root_frames_consumed_ > 0) {
-            failed_query = true;
-            cause = Status::IOError(
-                "worker " + std::to_string(dead) + " lost after " +
-                std::to_string(root_frames_consumed_) +
-                " result frames were already delivered to the client; the "
-                "root stage is not replayable (" + cause.message() + ")");
-          }
-        }
-        if (!failed_query) {
-          size_t cursor = 0;
-          for (const auto& [fi, ti] : restart) {
-            size_t f = static_cast<size_t>(fi);
-            size_t t = static_cast<size_t>(ti);
-            if (placement_[f][t] == dead) {
-              // Dead-worker victims move to a live worker; collateral
-              // restarts stay put (their worker is fine, only their
-              // input streams went stale).
-              placement_[f][t] = alive[cursor++ % alive.size()];
-              ++retry_counts_[f][t];
-            }
-            if (auto sit = spec_replicas_.find({fi, ti});
-                sit != spec_replicas_.end()) {
-              // A replica racing a restarting slot loses: the restart
-              // replaces the slot wholesale. Bump the table past the
-              // replica's generation first so neither its pending callback
-              // nor the replacement can collide with it, and discharge a
-              // won replica's held callback (its queued promotion later
-              // no-ops on the missing entry).
-              generations_[f][t] =
-                  std::max(generations_[f][t], sit->second.generation);
-              if (sit->second.won) --remaining_tasks_;
-              sit->second.client->MarkSuperseded();
-              sit->second.client->Abort();
-              superseded_clients_.push_back(sit->second.client);
-              spec_replicas_.erase(sit);
-            }
-            ++generations_[f][t];
-            if (slot_recovering_[f][t]) {
-              // The hold becomes the replacement's outstanding callback.
-              slot_recovering_[f][t] = false;
-            } else {
-              // Still running (its stale callback will subtract later) or
-              // finished (its completion was already counted): either way
-              // the replacement adds one outstanding callback.
-              ++remaining_tasks_;
-            }
-            if (slot_finished_[f][t]) {
-              slot_finished_[f][t] = false;
-              ++fragment_remaining_[f];
-              fragment_done_[f] = false;
-            }
-          }
-          if (restarts_root) {
-            ++root_epoch_;
-            size_t root = static_cast<size_t>(plan_.root_id);
-            root_fetch_port_ = cluster_->http_port(placement_[root][0]);
-            root_fetch_generation_ = generations_[root][0];
-          }
-          if (flock.owns_lock()) flock.unlock();
-          for (const auto& [fi, ti] : restart) {
-            size_t f = static_cast<size_t>(fi);
-            size_t t = static_cast<size_t>(ti);
-            // The old client stays alive until its callback settles, but
-            // must never feed splits or writer updates to the worker-side
-            // replacement entry that now owns the task id.
-            tasks_[f][t]->MarkSuperseded();
-            superseded_clients_.push_back(tasks_[f][t]);
-            auto fresh = MakeRemoteClientLocked(fi, ti);
-            tasks_[f][t] = fresh;
-            replacements.push_back({fi, ti, generations_[f][t], fresh});
-          }
+      const std::string why = " (" + cause.message() + ")";
+      switch (r.outcome) {
+        case Outcome::kStale:  // an earlier round replaced the incarnation
+          return;
+        case Outcome::kPruned:
+          break;
+        case Outcome::kRestarted:
+          launches = std::move(r.launches);
           if (retries_counter_ != nullptr) {
-            retries_counter_->Increment(
-                static_cast<int64_t>(replacements.size()));
+            retries_counter_->Increment(static_cast<int64_t>(launches.size()));
           }
-        }
-      }
-    }
-    if (failed_query) {
-      final_status_ = cause;
-      finished_ = true;
-      results_.Finish(cause);
-      memory_->Kill(cause);
-      AbortAllTasks();
-      {
-        std::lock_guard<std::mutex> tlock(tasks_mu_);
-        DischargeRecoveryHoldsLocked();
-        DischargeSpeculationLocked();
+          break;
+        case Outcome::kExhausted:
+          FailLocked(cause);
+          break;
+        case Outcome::kNoLiveWorker:
+          FailLocked(Status::IOError(
+              "no live worker left to host replacement tasks" + why));
+          break;
+        case Outcome::kRootNotReplayable:
+          FailLocked(Status::IOError(
+              "worker " + std::to_string(r.dead_worker) + " lost after " +
+              std::to_string(delivered) +
+              " result frames were already delivered to the client; the "
+              "root stage is not replayable" + why));
+          break;
       }
     }
     FinishIfDrainedLocked();
     done_cv_.notify_all();
   }
-  if (failed_query || replacements.empty()) {
-    recovery_pause_.store(false);
-    return;
-  }
-
-  // Launch the replacements (create RPCs) outside every lock: a launch
-  // failure re-enters OnTaskDone, which takes mu_.
-  std::vector<std::tuple<int, int, int, Status>> launch_failures;
-  for (const auto& r : replacements) {
-    QueryExecution* raw = this;
-    int f = r.fragment;
-    int t = r.task;
-    int gen = r.generation;
-    Status launched = r.client->Launch([raw, f, t, gen](Status status) {
-      raw->OnTaskDone(f, t, gen, status);
-    });
-    if (!launched.ok()) {
-      launch_failures.emplace_back(f, t, gen, launched);
-    }
-  }
-
-  // Replay the journal: every split the dead incarnation (and everything
-  // restarted with it) ever received, plus the no-more-splits markers the
-  // scheduler already sent. Holding tasks_mu_ keeps the split loop from
-  // interleaving fresh assignments mid-replay.
-  {
-    std::lock_guard<std::mutex> tlock(tasks_mu_);
-    for (const auto& r : replacements) {
-      size_t f = static_cast<size_t>(r.fragment);
-      size_t t = static_cast<size_t>(r.task);
-      if (generations_[f][t] != r.generation) continue;  // superseded again
-      for (const auto& [node, entries] : journal_[f][t].splits) {
-        for (const auto& [split, connector] : entries) {
-          r.client->AddSplit(node, split, connector);
-        }
-      }
-      (void)r.client->FlushSplits();
-      for (int node : no_more_splits_[f]) {
-        r.client->NoMoreSplits(node);
-      }
-    }
-  }
-  recovery_pause_.store(false);
-
-  for (const auto& [f, t, gen, launched] : launch_failures) {
-    OnTaskDone(f, t, gen,
-               Status::IOError("replacement task create failed: " +
-                               launched.message()));
-  }
-
+  if (launches.empty()) return;
+  LaunchAndReplay(launches);
   if (recovery_histogram_ != nullptr) {
     recovery_histogram_->Observe(timer.ElapsedSeconds());
   }
   if (trace != nullptr) {
     trace->RecordSpan("coordinator", "task_recovery", 0, 0, span_start,
                       trace->NowNanos() - span_start,
-                      {{"slots", std::to_string(replacements.size())},
-                       {"trigger_fragment",
-                        std::to_string(request.fragment)},
-                       {"trigger_task", std::to_string(request.task)}});
+                      {{"slots", std::to_string(launches.size())},
+                       {"trigger_fragment", std::to_string(fragment)},
+                       {"trigger_task", std::to_string(task)}});
   }
 }
 
-std::shared_ptr<TaskClient> QueryExecution::MakeRemoteClientLocked(
-    int fragment_id, int task_index) {
-  size_t f = static_cast<size_t>(fragment_id);
-  size_t t = static_cast<size_t>(task_index);
-  return MakeRemoteClientForLocked(fragment_id, task_index,
-                                   placement_[f][t], generations_[f][t]);
+void QueryExecution::LaunchAndReplay(
+    const std::vector<SlotTable::Launch>& launches) {
+  std::vector<Status> launched(launches.size(), Status::OK());
+  for (size_t i = 0; i < launches.size(); ++i) {
+    const SlotTable::Launch& launch = launches[i];
+    // A failure earlier in this loop may already have failed the query and
+    // aborted every task it saw; a task created after that sweep would
+    // never be aborted and its callback would never fire.
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (phase_ >= Phase::kFinishing) {
+        launched[i] = Status::Cancelled("query failed before launch");
+        continue;
+      }
+    }
+    // Raw capture is safe: ~QueryExecution waits for every task callback
+    // before releasing the object.
+    launched[i] = launch.client->Launch(
+        [self = this, f = launch.fragment, t = launch.task,
+         gen = launch.generation](Status status) {
+          self->OnTaskDone(f, t, gen, status);
+        });
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (size_t i = 0; i < launches.size(); ++i) {
+      if (!launched[i].ok()) continue;
+      slots_->Replay(launches[i].fragment, launches[i].task,
+                     launches[i].generation);
+      // Sweep the tasks created after a racing failure's abort.
+      if (process_mode_ && phase_ >= Phase::kFinishing) {
+        launches[i].client->Abort();
+      }
+    }
+  }
+  // A failed launch never fires its callback; settle it here, which turns
+  // a create on a dead worker into a recovery request like any other
+  // worker loss.
+  for (size_t i = 0; i < launches.size(); ++i) {
+    if (launched[i].ok()) continue;
+    OnTaskDone(launches[i].fragment, launches[i].task, launches[i].generation,
+               launched[i]);
+  }
 }
 
-std::shared_ptr<TaskClient> QueryExecution::MakeRemoteClientForLocked(
-    int fragment_id, int task_index, int worker, int generation) {
-  const ClusterConfig& config = cluster_->config();
-  size_t f = static_cast<size_t>(fragment_id);
-  const PlanFragment& fragment = plan_.fragments[f];
-
+TaskSpec QueryExecution::MakeSpec(int fragment_id, int task_index,
+                                  int worker, int generation) const {
+  const PlanFragment& fragment =
+      plan_.fragments[static_cast<size_t>(fragment_id)];
   TaskSpec spec;
   spec.query_id = query_id_;
   spec.fragment_id = fragment_id;
   spec.task_index = task_index;
-  spec.num_tasks = task_counts_[f];
+  spec.num_tasks = task_counts_[static_cast<size_t>(fragment_id)];
   spec.consumer_partitions =
       fragment.consumer >= 0
           ? task_counts_[static_cast<size_t>(fragment.consumer)]
@@ -687,6 +461,15 @@ std::shared_ptr<TaskClient> QueryExecution::MakeRemoteClientForLocked(
     spec.source_task_counts[input] =
         task_counts_[static_cast<size_t>(input)];
   }
+  return spec;
+}
+
+std::shared_ptr<TaskClient> QueryExecution::MakeRemoteClient(
+    int fragment_id, int task_index, int worker, int generation) {
+  const ClusterConfig& config = cluster_->config();
+  size_t f = static_cast<size_t>(fragment_id);
+  const PlanFragment& fragment = plan_.fragments[f];
+  TaskSpec spec = MakeSpec(fragment_id, task_index, worker, generation);
 
   TaskCreateRequest create;
   create.spec = spec;
@@ -694,18 +477,17 @@ std::shared_ptr<TaskClient> QueryExecution::MakeRemoteClientForLocked(
   create.eval_mode = config.eval_mode;
   create.exchange_buffer_bytes = config.exchange_buffer_bytes;
   create.max_drivers_per_pipeline = config.max_drivers_per_pipeline;
-  create.retain_exchange_frames = recovery_enabled_;
+  create.retain_exchange_frames = slots_->journaling();
   const auto& writer_counter = active_writers_[f];
   create.active_writers =
       writer_counter != nullptr ? writer_counter->load() : -1;
   create.emit_results_via_exchange = fragment_id == plan_.root_id;
   for (int input : fragment.inputs) {
-    size_t in = static_cast<size_t>(input);
-    for (int it = 0; it < task_counts_[in]; ++it) {
-      create.endpoints.push_back(
-          {input, it,
-           cluster_->http_port(placement_[in][static_cast<size_t>(it)]),
-           generations_[in][static_cast<size_t>(it)]});
+    for (int it = 0; it < slots_->num_tasks(input); ++it) {
+      const Incarnation& producer = slots_->slot(input, it).current;
+      create.endpoints.push_back({input, it,
+                                  cluster_->http_port(producer.worker),
+                                  producer.generation});
     }
   }
 
@@ -730,50 +512,16 @@ std::shared_ptr<TaskClient> QueryExecution::MakeRemoteClientForLocked(
   return std::make_shared<HttpTaskClient>(spec, create.ToJson(), options);
 }
 
-void QueryExecution::DischargeSpeculationLocked() {
-  for (auto it = spec_replicas_.begin(); it != spec_replicas_.end();
-       it = spec_replicas_.erase(it)) {
-    SpecReplica& replica = it->second;
-    replica.client->MarkSuperseded();
-    replica.client->Abort();
-    superseded_clients_.push_back(replica.client);
-    if (replica.won) {
-      // Its terminal callback already fired and was held; discharge it
-      // here (the queued promotion no-ops on the missing entry). A still-
-      // racing replica's pending callback settles itself instead: with
-      // the entry gone it lands on the stale path (its generation never
-      // entered the generations_ table).
-      --remaining_tasks_;
-    }
-  }
-}
-
 void QueryExecution::SpeculationTick() {
-  struct ReplicaLaunch {
-    int fragment;
-    int task;
-    int generation;
-    std::shared_ptr<TaskClient> client;
-    bool launch_failed = false;
-    Status launch_status = Status::OK();
-  };
-  std::vector<ReplicaLaunch> launches;
+  std::vector<SlotTable::Launch> launches;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!launch_complete_ || finished_ || finalized_ || defer_finalize_ ||
-        memory_->killed()) {
-      return;
-    }
-    std::lock_guard<std::mutex> tlock(tasks_mu_);
+    if (phase_ == Phase::kLaunching || SettledLocked()) return;
     // Budget counts CONCURRENT replicas: a settled race frees its slot.
     SpeculationPolicy policy = speculation_policy_;
-    policy.max_speculative_tasks -= static_cast<int>(spec_replicas_.size());
-    if (policy.max_speculative_tasks <= 0) return;
-    std::vector<int> alive;
-    for (int w = 0; w < cluster_->num_workers(); ++w) {
-      if (cluster_->liveness().IsAlive(w)) alive.push_back(w);
-    }
-    if (alive.size() < 2) return;
+    policy.max_speculative_tasks -= slots_->replica_count();
+    std::vector<int> alive = LiveWorkers();
+    if (policy.max_speculative_tasks <= 0 || alive.size() < 2) return;
     // Scale the stall floor by the observed heartbeat RTT: on a slow
     // control plane the status caches themselves lag, and a healthy task
     // must not look stalled just because its progress reports do.
@@ -786,347 +534,86 @@ void QueryExecution::SpeculationTick() {
                                  static_cast<double>(rtt_snapshot.count)));
       }
     }
-    // Sample every slot — finished siblings included, so a fragment whose
-    // fast tasks already completed still anchors the quantile the stalled
-    // one must be measured against.
-    std::vector<TaskProgressSample> samples;
-    for (size_t f = 0; f < tasks_.size(); ++f) {
-      for (size_t t = 0; t < tasks_[f].size(); ++t) {
-        TaskProgressSample sample;
-        sample.fragment = static_cast<int>(f);
-        sample.task = static_cast<int>(t);
-        const auto& client = tasks_[f][t];
-        sample.progress = static_cast<double>(client->rows_out());
-        sample.stall_micros = client->progress_age_micros();
-        sample.speculatable =
-            !slot_finished_[f][t] && !slot_recovering_[f][t] &&
-            speculated_.count({static_cast<int>(f),
-                               static_cast<int>(t)}) == 0 &&
-            client->worker_alive();
-        samples.push_back(sample);
-      }
-    }
-    std::vector<std::pair<int, int>> stragglers =
-        PickStragglers(samples, policy, static_cast<int>(alive.size()));
-    size_t cursor = 0;
-    for (const auto& [fi, ti] : stragglers) {
-      size_t f = static_cast<size_t>(fi);
-      size_t t = static_cast<size_t>(ti);
-      // The replica must run on a different live worker than the original.
-      int target = -1;
-      for (size_t i = 0; i < alive.size(); ++i) {
-        int w = alive[(cursor + i) % alive.size()];
-        if (w != placement_[f][t]) {
-          target = w;
-          cursor = cursor + i + 1;
-          break;
-        }
-      }
-      if (target < 0) continue;
-      const int replica_generation = generations_[f][t] + 1;
-      auto client =
-          MakeRemoteClientForLocked(fi, ti, target, replica_generation);
-      SpecReplica replica;
-      replica.generation = replica_generation;
-      replica.worker = target;
-      replica.client = client;
-      spec_replicas_[{fi, ti}] = replica;
-      speculated_.insert({fi, ti});
-      // The replica's own terminal callback joins the drain count; every
-      // exit path (win, loss, recovery absorption, query failure) settles
-      // exactly this +1.
-      ++remaining_tasks_;
-      launches.push_back({fi, ti, replica_generation, client});
-      if (speculations_counter_ != nullptr) {
-        speculations_counter_->Increment();
-      }
-      if (lifecycle_ != nullptr && lifecycle_->trace() != nullptr) {
-        lifecycle_->trace()->RecordInstant(
-            "coordinator", "task_speculate", 0, 0,
-            {{"fragment", std::to_string(fi)},
-             {"task", std::to_string(ti)},
-             {"generation", std::to_string(replica_generation)},
-             {"worker", std::to_string(target)}});
-      }
+    launches = slots_->Speculate(
+        PickStragglers(slots_->ProgressSamples(), policy,
+                       static_cast<int>(alive.size())),
+        alive);
+    for (const SlotTable::Launch& launch : launches) {
+      if (speculations_counter_ != nullptr) speculations_counter_->Increment();
+      TraceSlot("task_speculate", launch.fragment, launch.task,
+                launch.generation,
+                {{"worker", std::to_string(
+                                slots_->slot(launch.fragment, launch.task)
+                                    .replica->worker)}});
     }
   }
-  if (launches.empty()) return;
-
-  // Create RPCs outside every lock (a failure re-enters OnTaskDone).
-  for (auto& launch : launches) {
-    QueryExecution* self = this;
-    const int f = launch.fragment;
-    const int t = launch.task;
-    const int gen = launch.generation;
-    Status launched = launch.client->Launch([self, f, t, gen](Status status) {
-      self->OnTaskDone(f, t, gen, status);
-    });
-    if (!launched.ok()) {
-      launch.launch_failed = true;
-      launch.launch_status = launched;
-    }
-  }
-
-  // Journal replay: everything the original ever received, then mark the
-  // replica live for split-loop forwarding — atomically under tasks_mu_,
-  // so no split can be both replayed and forwarded.
-  {
-    std::lock_guard<std::mutex> tlock(tasks_mu_);
-    for (const auto& launch : launches) {
-      if (launch.launch_failed) continue;
-      auto it = spec_replicas_.find({launch.fragment, launch.task});
-      if (it == spec_replicas_.end() ||
-          it->second.generation != launch.generation) {
-        continue;  // already settled (e.g. a recovery round absorbed it)
-      }
-      size_t f = static_cast<size_t>(launch.fragment);
-      size_t t = static_cast<size_t>(launch.task);
-      for (const auto& [node, entries] : journal_[f][t].splits) {
-        for (const auto& [split, connector] : entries) {
-          launch.client->AddSplit(node, split, connector);
-        }
-      }
-      (void)launch.client->FlushSplits();
-      for (int node : no_more_splits_[f]) {
-        launch.client->NoMoreSplits(node);
-      }
-      it->second.replayed = true;
-    }
-  }
-
-  for (const auto& launch : launches) {
-    if (!launch.launch_failed) continue;
-    // No callback will ever fire for this replica; settle it through the
-    // lost path directly.
-    OnTaskDone(launch.fragment, launch.task, launch.generation,
-               Status::IOError("speculative replica create failed: " +
-                               launch.launch_status.message()));
-  }
+  LaunchAndReplay(launches);
 }
 
 void QueryExecution::RunPromotion(int fragment, int task, int generation) {
-  // Same hard barrier as a recovery round: the split loop must not feed a
-  // client between the swap below and its (already-complete) replay state.
-  recovery_pause_.store(true);
-  struct Replacement {
-    int fragment;
-    int task;
-    int generation;
-    std::shared_ptr<TaskClient> client;
-  };
-  std::vector<Replacement> replacements;
-  std::shared_ptr<TaskClient> losing_original;
-  bool promoted = false;
+  using Outcome = SlotTable::Promotion::Outcome;
+  std::vector<SlotTable::Launch> launches;
   {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [this] { return launch_complete_; });
-    size_t f = static_cast<size_t>(fragment);
-    size_t t = static_cast<size_t>(task);
-    const bool settled =
-        finished_ || finalized_ || defer_finalize_ || memory_->killed();
+    std::lock_guard<std::mutex> lock(mu_);
+    SlotTable::Promotion p;
     {
-      std::lock_guard<std::mutex> tlock(tasks_mu_);
-      auto rit = spec_replicas_.find({fragment, task});
-      if (rit == spec_replicas_.end() ||
-          rit->second.generation != generation || !rit->second.won) {
-        // A recovery round or teardown already settled this replica (and
-        // discharged its held callback).
-        recovery_pause_.store(false);
-        return;
-      }
-      // Decide commit vs abandon. Promotion restarts every unfinished
-      // task of every fragment transitively consuming the promoted one:
-      // their RemoteSources are bound to the losing original's buffers
-      // and their own partial frame sequences are not reproducible — the
-      // same collateral rule recovery applies (DESIGN.md §13).
-      bool illegal = settled || slot_finished_[f][t] || slot_recovering_[f][t];
-      std::vector<std::pair<int, int>> restart;
-      bool restarts_root = fragment == plan_.root_id;
-      if (!illegal) {
-        std::vector<std::vector<int>> consumers_of(plan_.fragments.size());
-        for (const auto& frag : plan_.fragments) {
-          for (int input : frag.inputs) {
-            consumers_of[static_cast<size_t>(input)].push_back(frag.id);
-          }
-        }
-        std::set<int> affected;
-        std::vector<int> worklist{fragment};
-        while (!worklist.empty()) {
-          int g = worklist.back();
-          worklist.pop_back();
-          for (int consumer : consumers_of[static_cast<size_t>(g)]) {
-            if (affected.insert(consumer).second) worklist.push_back(consumer);
-          }
-        }
-        for (int af : affected) {
-          size_t a = static_cast<size_t>(af);
-          for (size_t at = 0; at < slot_finished_[a].size(); ++at) {
-            if (slot_finished_[a][at]) continue;
-            if (slot_recovering_[a][at]) {
-              // A recovery round owns part of the closure; bail out of the
-              // promotion rather than fight it (the original keeps
-              // running — slow but correct).
-              illegal = true;
-              break;
-            }
-            restart.emplace_back(af, static_cast<int>(at));
-            if (af == plan_.root_id) restarts_root = true;
-          }
-          if (illegal) break;
-        }
-      }
-      std::unique_lock<std::mutex> flock(fetch_mu_, std::defer_lock);
-      if (!illegal && restarts_root) {
-        flock.lock();
-        // Frames already delivered to the client cannot be un-delivered;
-        // a root restart is only legal before the first one.
-        if (root_frames_consumed_ > 0) illegal = true;
-      }
-      if (illegal) {
-        // Abandon the win: abort the replica and let the original keep
-        // running. Its held callback settles as a plain count drop.
-        SpecReplica replica = rit->second;
-        spec_replicas_.erase(rit);
-        replica.client->MarkSuperseded();
-        replica.client->Abort();
-        superseded_clients_.push_back(replica.client);
-        --remaining_tasks_;
-        if (lifecycle_ != nullptr && lifecycle_->trace() != nullptr) {
-          lifecycle_->trace()->RecordInstant(
-              "coordinator", "speculation_lose", 0, 0,
-              {{"fragment", std::to_string(fragment)},
-               {"task", std::to_string(task)},
-               {"generation", std::to_string(generation)},
-               {"reason", "promotion_illegal"}});
-        }
-      } else {
-        promoted = true;
-        SpecReplica replica = rit->second;
-        spec_replicas_.erase(rit);
-        // The replica becomes the slot's incarnation; its held callback
-        // becomes the slot's completion.
-        losing_original = tasks_[f][t];
-        losing_original->MarkSuperseded();
-        superseded_clients_.push_back(losing_original);
-        tasks_[f][t] = replica.client;
-        generations_[f][t] = replica.generation;
-        placement_[f][t] = replica.worker;
-        slot_finished_[f][t] = true;
-        --remaining_tasks_;
-        --fragment_remaining_[f];
-        if (fragment_remaining_[f] == 0) fragment_done_[f] = true;
-        // Collateral consumer restarts, exactly like RunRecovery's: they
-        // stay on their workers (the same-id higher-generation create
-        // supersedes the old worker-side entry in place).
-        for (const auto& [ci, cti] : restart) {
-          size_t cf = static_cast<size_t>(ci);
-          size_t ct = static_cast<size_t>(cti);
-          ++generations_[cf][ct];
-          // The replacement's callback joins the count; the still-running
-          // original settles later through the stale path.
-          ++remaining_tasks_;
-          tasks_[cf][ct]->MarkSuperseded();
-          superseded_clients_.push_back(tasks_[cf][ct]);
-          auto fresh = MakeRemoteClientLocked(ci, cti);
-          tasks_[cf][ct] = fresh;
-          replacements.push_back({ci, cti, generations_[cf][ct], fresh});
-        }
-        if (restarts_root) {
-          ++root_epoch_;
-          size_t root = static_cast<size_t>(plan_.root_id);
-          root_fetch_port_ = cluster_->http_port(placement_[root][0]);
-          root_fetch_generation_ = generations_[root][0];
-        }
-        if (wins_counter_ != nullptr) wins_counter_->Increment();
-        if (lifecycle_ != nullptr && lifecycle_->trace() != nullptr) {
-          lifecycle_->trace()->RecordInstant(
-              "coordinator", "speculation_win", 0, 0,
-              {{"fragment", std::to_string(fragment)},
-               {"task", std::to_string(task)},
-               {"generation", std::to_string(generation)},
-               {"collateral", std::to_string(restart.size())}});
-        }
+      // A root restart is legal only before the first delivered frame.
+      std::lock_guard<std::mutex> flock(fetch_mu_);
+      p = slots_->Promote(fragment, task, generation, !SettledLocked(),
+                          root_frames_consumed_ == 0);
+      if (p.outcome == Outcome::kPromoted && p.restarts_root) {
+        RebindRootLocked();
       }
     }
-    // The losing original gets a task-scoped kCancelled: the worker kills
-    // its drivers and retires the entry, and the coordinator-side callback
-    // settles through the stale path (its generation is now behind).
-    if (losing_original != nullptr) losing_original->Abort();
+    switch (p.outcome) {
+      case Outcome::kGone:  // a restart or teardown settled the replica
+        return;
+      case Outcome::kRefused:
+        // Correctness is never traded for the win: the replica goes, the
+        // original keeps running.
+        slots_->Abandon(fragment, task);
+        TraceSlot("speculation_lose", fragment, task, generation,
+                  {{"reason", "promotion_illegal"}});
+        break;
+      case Outcome::kPromoted:
+        if (wins_counter_ != nullptr) wins_counter_->Increment();
+        TraceSlot("speculation_win", fragment, task, generation,
+                  {{"collateral", std::to_string(p.launches.size())}});
+        launches = std::move(p.launches);
+        break;
+    }
     FinishIfDrainedLocked();
     done_cv_.notify_all();
   }
-  if (!promoted || replacements.empty()) {
-    recovery_pause_.store(false);
-    return;
-  }
-
-  // Launch the collateral replacements outside every lock, then replay
-  // their journals — the same tail as a recovery round.
-  std::vector<std::tuple<int, int, int, Status>> launch_failures;
-  for (const auto& r : replacements) {
-    QueryExecution* self = this;
-    const int rf = r.fragment;
-    const int rt = r.task;
-    const int rgen = r.generation;
-    Status launched = r.client->Launch([self, rf, rt, rgen](Status status) {
-      self->OnTaskDone(rf, rt, rgen, status);
-    });
-    if (!launched.ok()) {
-      launch_failures.emplace_back(rf, rt, rgen, launched);
-    }
-  }
-  {
-    std::lock_guard<std::mutex> tlock(tasks_mu_);
-    for (const auto& r : replacements) {
-      size_t rf = static_cast<size_t>(r.fragment);
-      size_t rt = static_cast<size_t>(r.task);
-      if (generations_[rf][rt] != r.generation) continue;  // superseded again
-      for (const auto& [node, entries] : journal_[rf][rt].splits) {
-        for (const auto& [split, connector] : entries) {
-          r.client->AddSplit(node, split, connector);
-        }
-      }
-      (void)r.client->FlushSplits();
-      for (int node : no_more_splits_[rf]) {
-        r.client->NoMoreSplits(node);
-      }
-    }
-  }
-  recovery_pause_.store(false);
-  for (const auto& [rf, rt, rgen, launched] : launch_failures) {
-    OnTaskDone(rf, rt, rgen,
-               Status::IOError("post-promotion restart create failed: " +
-                               launched.message()));
-  }
+  LaunchAndReplay(launches);
 }
 
 void QueryExecution::FinalizeLocked() {
-  if (finalized_) return;
-  finalized_ = true;
+  if (phase_ == Phase::kFinalized) return;
+  phase_ = Phase::kFinalized;
   // Every task callback has fired, so nothing references the drivers
   // (or, over HTTP, the worker-side task entries) anymore. Release
   // them now — regardless of whether the query finished, failed, was
   // cancelled, or was abandoned — returning every memory-pool
   // reservation, dropping exchange-buffer references, and deleting
   // spill files. A final stats snapshot is cached first so EXPLAIN
-  // ANALYZE still works after teardown. (Recovery swaps hold mu_ too,
-  // so iterating tasks_ under mu_ alone is race-free here.)
-  for (auto& fragment_tasks : tasks_) {
-    for (auto& task : fragment_tasks) task->ReleaseResources();
-  }
-  // Superseded pre-recovery clients are NOT destroyed here: the last stale
-  // callback is delivered on its own client's poll thread, which may be
-  // the very thread running this finalization — destroying that client
-  // would join the current thread with itself. ~QueryExecution (a waiter
-  // thread) frees them instead. No ReleaseResources for them either —
-  // their task ids now belong to the replacements released above.
+  // ANALYZE still works after teardown.
+  std::vector<std::shared_ptr<TaskClient>> clients =
+      slots_->AllClients(/*with_replicas=*/false);
+  for (auto& client : clients) client->ReleaseResources();
+  // Superseded clients are NOT destroyed here: the last stale callback is
+  // delivered on its own client's poll thread, which may be the very
+  // thread running this finalization — destroying that client would join
+  // the current thread with itself. The slot table frees them with
+  // ~QueryExecution (a waiter thread). No ReleaseResources for them
+  // either — their task ids now belong to the replacements released above.
   if (cluster_ != nullptr) cluster_->exchange().RemoveQuery(query_id_);
   // Finalize the lifecycle before mu_ is released: a Wait()-er may
   // destroy this object the moment the lock drops, and QueryInfoFor
   // after Wait() must observe the terminal state.
   if (lifecycle_ != nullptr) {
     lifecycle_->Finalize(final_status_, client_cancelled_.load(),
-                         StatsSnapshot());
+                         CollectStats(clients, memory_->peak_user()));
   }
   // Release the admission slot before the unlock too: it only takes
   // the coordinator's admission mutex, which is never held while an
@@ -1140,8 +627,7 @@ void QueryExecution::FinalizeLocked() {
 void QueryExecution::FinalizeIfDeferred() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!defer_finalize_ || finalized_) return;
-    finished_ = true;
+    if (phase_ != Phase::kDeferred) return;
     // Belt and braces: the fetch thread normally finished the stream
     // before getting here; if it exited on an error, Cancel() already
     // finished it with that error (first-wins makes this a no-op then).
@@ -1195,7 +681,7 @@ void QueryExecution::ResultFetchLoop() {
     }
     auto fetched = fetcher.Fetch();
     if (!fetched.ok()) {
-      if (recovery_enabled_) {
+      if (slots_->journaling()) {
         if (!error_window_open) {
           error_window_open = true;
           error_timer.Reset();
@@ -1249,7 +735,7 @@ void QueryExecution::ResultFetchLoop() {
     if (fetched->complete) {
       // With recovery enabled the root buffer is retained like any other;
       // FinalizeLocked()'s task release tears it down with the query.
-      if (!recovery_enabled_) (void)fetcher.DeleteBuffer();
+      if (!slots_->journaling()) (void)fetcher.DeleteBuffer();
       // First-wins with Cancel()/task-failure finalization: whichever
       // reason reached the queue first sticks.
       results_.Finish(Status::OK());
@@ -1277,13 +763,9 @@ void QueryExecution::SplitSchedulingLoop() {
   struct PendingSource {
     int fragment;
     int node_id;
-    std::shared_ptr<const TableScanNode> scan;
     Connector* connector;
     std::unique_ptr<SplitSource> source;
     bool exhausted = false;
-    /// Splits pulled but not yet assignable (no live task at the time);
-    /// retried once recovery re-created the fragment's tasks.
-    std::vector<SplitPtr> carryover;
   };
   std::vector<PendingSource> sources;
   for (const auto& fragment : plan_.fragments) {
@@ -1316,9 +798,8 @@ void QueryExecution::SplitSchedulingLoop() {
         Cancel(source.status());
         return;
       }
-      sources.push_back(PendingSource{fragment.id, scan->id(), scan,
-                                      *connector, std::move(*source), false,
-                                      {}});
+      sources.push_back(PendingSource{fragment.id, scan->id(), *connector,
+                                      std::move(*source), false});
     }
   }
   // Writer-scaling bookkeeping.
@@ -1327,23 +808,17 @@ void QueryExecution::SplitSchedulingLoop() {
   auto all_deps_done = [this](const PlanFragment& fragment) {
     std::lock_guard<std::mutex> lock(mu_);
     for (int dep : fragment.build_dependencies) {
-      if (!fragment_done_[static_cast<size_t>(dep)]) return false;
+      if (!slots_->FragmentDone(dep)) return false;
     }
     return true;
   };
-  auto snapshot_tasks = [this](int fragment) {
-    std::lock_guard<std::mutex> tlock(tasks_mu_);
-    return tasks_[static_cast<size_t>(fragment)];
+  auto clients_of = [this](int fragment) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return slots_->Clients(fragment);
   };
 
   bool work_left = true;
   while (!stop_split_thread_.load() && !memory_->killed()) {
-    if (recovery_pause_.load()) {
-      // A recovery round is swapping task clients and replaying journals;
-      // park until the tables are consistent again.
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      continue;
-    }
     work_left = false;
     for (auto& pending : sources) {
       if (pending.exhausted) continue;
@@ -1356,11 +831,9 @@ void QueryExecution::SplitSchedulingLoop() {
           !all_deps_done(fragment)) {
         continue;
       }
-      std::vector<std::shared_ptr<TaskClient>> fragment_tasks =
-          snapshot_tasks(pending.fragment);
       // Lazy enumeration: pause while queues are deep (§IV-D3).
       size_t min_queue = SIZE_MAX;
-      for (const auto& task : fragment_tasks) {
+      for (const auto& task : clients_of(pending.fragment)) {
         auto size = task->SplitQueueSize(pending.node_id);
         if (size.has_value()) min_queue = std::min(min_queue, *size);
       }
@@ -1368,124 +841,72 @@ void QueryExecution::SplitSchedulingLoop() {
           min_queue > static_cast<size_t>(config.split_queue_soft_limit)) {
         continue;
       }
-      std::vector<SplitPtr> batch;
-      if (!pending.carryover.empty()) {
-        batch = std::move(pending.carryover);
-        pending.carryover.clear();
-      } else {
-        auto batch_or = pending.source->NextBatch(config.split_batch_size);
-        if (!batch_or.ok()) {
-          Cancel(batch_or.status());
-          return;
-        }
-        if (batch_or->empty()) {
-          {
-            // Journal the end-of-splits marker and deliver it to the
-            // CURRENT clients under the same lock, so a replacement
-            // created concurrently can never miss it (it either gets the
-            // RPC directly or finds the marker in the journal replay).
-            std::lock_guard<std::mutex> tlock(tasks_mu_);
-            if (recovery_pause_.load()) {
-              // A recovery round is between its client swap and its
-              // journal replay: a marker delivered to a fresh client now
-              // would precede the replayed splits. Retry after the round
-              // (the drained source returns another empty batch).
-              continue;
-            }
-            pending.exhausted = true;
-            if (recovery_enabled_) {
-              no_more_splits_[static_cast<size_t>(pending.fragment)].insert(
-                  pending.node_id);
-            }
-            for (const auto& task :
-                 tasks_[static_cast<size_t>(pending.fragment)]) {
-              task->NoMoreSplits(pending.node_id);
-            }
-            // Racing speculative replicas of this fragment see the marker
-            // too (pre-replay replicas get it from the journal replay).
-            for (auto& [slot, replica] : spec_replicas_) {
-              if (slot.first == pending.fragment && replica.replayed) {
-                replica.client->NoMoreSplits(pending.node_id);
-              }
-            }
+      auto batch = pending.source->NextBatch(config.split_batch_size);
+      if (!batch.ok()) {
+        Cancel(batch.status());
+        return;
+      }
+      if (batch->empty()) {
+        pending.exhausted = true;
+        {
+          // Journaled like a split: an incarnation that is not replayed
+          // yet gets the marker from its replay, in order.
+          std::lock_guard<std::mutex> lock(mu_);
+          for (int t = 0; t < slots_->num_tasks(pending.fragment); ++t) {
+            slots_->Deliver(pending.fragment, t,
+                            {pending.node_id, nullptr, nullptr});
           }
-          if (trace != nullptr) {
-            trace->RecordInstant(
-                "scheduler", "splits_exhausted", 0, 0,
-                {{"fragment", std::to_string(pending.fragment)},
-                 {"scan_node", std::to_string(pending.node_id)}});
-          }
-          continue;
         }
-        batch = std::move(*batch_or);
+        if (trace != nullptr) {
+          trace->RecordInstant(
+              "scheduler", "splits_exhausted", 0, 0,
+              {{"fragment", std::to_string(pending.fragment)},
+               {"scan_node", std::to_string(pending.node_id)}});
+        }
+        continue;
       }
       if (trace != nullptr) {
         trace->RecordInstant(
             "scheduler", "split_batch", 0, 0,
             {{"fragment", std::to_string(pending.fragment)},
              {"scan_node", std::to_string(pending.node_id)},
-             {"splits", std::to_string(batch.size())}});
+             {"splits", std::to_string(batch->size())}});
       }
       Status assign_failure = Status::OK();
+      std::vector<std::shared_ptr<TaskClient>> current;
+      std::vector<std::shared_ptr<TaskClient>> replicas;
       {
-        // One lock scope covers target choice, journal append, and the
-        // AddSplit — a recovery swap can therefore never slip between the
-        // choice and the delivery and strand the split on a superseded
-        // client whose buffered updates go nowhere.
-        std::lock_guard<std::mutex> tlock(tasks_mu_);
-        if (recovery_pause_.load()) {
-          // Loop-top check raced a recovery round: the round may already
-          // have swapped fresh clients but not replayed their journals
-          // yet, and a split journaled + delivered now would arrive a
-          // second time with the replay. Park the batch instead.
-          pending.carryover = std::move(batch);
-          continue;
-        }
-        auto& current = tasks_[static_cast<size_t>(pending.fragment)];
-        for (size_t si = 0; si < batch.size(); ++si) {
-          const auto& split = batch[si];
-          int target = -1;
+        // Target choice and delivery share one lock scope with every
+        // incarnation swap, so a split can never strand on a superseded
+        // client.
+        std::lock_guard<std::mutex> lock(mu_);
+        current = slots_->Clients(pending.fragment);
+        for (size_t si = 0; si < batch->size(); ++si) {
+          const SplitPtr& split = (*batch)[si];
+          int target;
           if (split->preferred_worker() >= 0 && split->hard_affinity()) {
             // Shared-nothing placement (§IV-D2).
             target = split->preferred_worker() %
                      static_cast<int>(current.size());
-          } else {
+          } else if (auto chosen = ChooseSplitTarget(current, pending.node_id);
+                     chosen.ok()) {
             // Shortest-queue assignment (§IV-D3) over live workers only.
-            auto target_or = ChooseSplitTarget(current, pending.node_id);
-            if (!target_or.ok()) {
-              if (recovery_enabled_) {
-                // Park the unassigned remainder; recovery is about to
-                // re-create the fragment's tasks on live workers.
-                pending.carryover.assign(batch.begin() +
-                                             static_cast<int64_t>(si),
-                                         batch.end());
-              } else {
-                // Fail fast instead of silently dumping the split on task
-                // 0 (which may sit on the very worker that just died).
-                assign_failure = target_or.status();
-              }
-              break;
-            }
-            target = *target_or;
+            target = *chosen;
+          } else if (slots_->journaling()) {
+            // Every task of the fragment sits on a dead worker: journal the
+            // split on one of them, and its replacement gets it from the
+            // replay.
+            target = static_cast<int>(si % current.size());
+          } else {
+            // Fail fast instead of silently dumping the split on task 0
+            // (which may sit on the very worker that just died).
+            assign_failure = chosen.status();
+            break;
           }
-          if (recovery_enabled_) {
-            journal_[static_cast<size_t>(pending.fragment)]
-                    [static_cast<size_t>(target)]
-                        .splits[pending.node_id]
-                        .emplace_back(split, pending.connector);
-          }
-          current[static_cast<size_t>(target)]->AddSplit(
-              pending.node_id, split, pending.connector);
-          // Mirror the delivery into a racing replica of the same slot —
-          // only once its journal replay completed; earlier splits reach
-          // it through the replay (forwarding before that would deliver
-          // this split twice).
-          auto rit = spec_replicas_.find({pending.fragment, target});
-          if (rit != spec_replicas_.end() && rit->second.replayed) {
-            rit->second.client->AddSplit(pending.node_id, split,
-                                         pending.connector);
-          }
+          slots_->Deliver(pending.fragment, target,
+                          {pending.node_id, split, pending.connector});
         }
+        replicas = slots_->Clients(pending.fragment, /*replicas=*/true);
       }
       if (!assign_failure.ok()) {
         Cancel(assign_failure);
@@ -1494,10 +915,10 @@ void QueryExecution::SplitSchedulingLoop() {
       // Ship the batch (buffered update POSTs; no-op in-process). A
       // superseded client turns this into a no-op; a client whose worker
       // just died reports an IOError the journal replay makes good.
-      for (const auto& task : snapshot_tasks(pending.fragment)) {
+      for (const auto& task : current) {
         Status flushed = task->FlushSplits();
         if (!flushed.ok()) {
-          if (recovery_enabled_ &&
+          if (slots_->journaling() &&
               flushed.code() == StatusCode::kIOError &&
               !task->worker_alive()) {
             continue;
@@ -1506,20 +927,9 @@ void QueryExecution::SplitSchedulingLoop() {
           return;
         }
       }
-      // Best-effort flush for racing replicas: a failing replica cannot
-      // fail the query (its own terminal callback settles the race).
-      if (speculation_enabled_) {
-        std::vector<std::shared_ptr<TaskClient>> replica_tasks;
-        {
-          std::lock_guard<std::mutex> tlock(tasks_mu_);
-          for (auto& [slot, replica] : spec_replicas_) {
-            if (slot.first == pending.fragment && replica.replayed) {
-              replica_tasks.push_back(replica.client);
-            }
-          }
-        }
-        for (const auto& task : replica_tasks) (void)task->FlushSplits();
-      }
+      // Best-effort for racing replicas: a failing replica cannot fail the
+      // query (its own terminal callback settles the race).
+      for (const auto& task : replicas) (void)task->FlushSplits();
     }
 
     // Adaptive writer scaling (§IV-E3): while producer output buffers stay
@@ -1531,9 +941,9 @@ void QueryExecution::SplitSchedulingLoop() {
         auto& counter = active_writers_[static_cast<size_t>(fragment.id)];
         if (counter == nullptr) continue;
         std::vector<std::shared_ptr<TaskClient>> producer_tasks =
-            snapshot_tasks(fragment.id);
+            clients_of(fragment.id);
         int consumer_tasks =
-            static_cast<int>(snapshot_tasks(fragment.consumer).size());
+            static_cast<int>(clients_of(fragment.consumer).size());
         if (counter->load() >= consumer_tasks) continue;
         double utilization = 0;
         int count = 0;
@@ -1556,7 +966,7 @@ void QueryExecution::SplitSchedulingLoop() {
 
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (remaining_tasks_ == 0) return;
+      if (slots_->outstanding() == 0) return;
     }
     if (!work_left && !config.adaptive_writer_scaling) return;
     std::this_thread::sleep_for(std::chrono::microseconds(500));
@@ -1601,6 +1011,7 @@ Result<std::shared_ptr<QueryExecution>> Coordinator::Execute(
   }
 
   auto execution = std::shared_ptr<QueryExecution>(new QueryExecution());
+  QueryExecution* raw = execution.get();
   execution->query_id_ = query_id;
   execution->lifecycle_ = std::move(lifecycle);
   execution->cluster_ = cluster_;
@@ -1626,10 +1037,7 @@ Result<std::shared_ptr<QueryExecution>> Coordinator::Execute(
   const FragmentedPlan& fplan = execution->plan_;
   const ClusterConfig& config = cluster_->config();
   size_t num_fragments = fplan.fragments.size();
-  execution->tasks_.resize(num_fragments);
   execution->active_writers_.resize(num_fragments);
-  execution->fragment_remaining_.assign(num_fragments, 0);
-  execution->fragment_done_.assign(num_fragments, false);
 
   // Decide task counts per fragment.
   std::vector<int> task_counts(num_fragments, 1);
@@ -1682,10 +1090,7 @@ Result<std::shared_ptr<QueryExecution>> Coordinator::Execute(
   // to live workers round-robin; a cluster with no live worker at all
   // cannot run anything.
   if (process_mode) {
-    std::vector<int> live;
-    for (int w = 0; w < cluster_->num_workers(); ++w) {
-      if (cluster_->liveness().IsAlive(w)) live.push_back(w);
-    }
+    std::vector<int> live = execution->LiveWorkers();
     if (live.empty()) {
       return Status::IOError("no live workers to place query tasks on");
     }
@@ -1698,54 +1103,37 @@ Result<std::shared_ptr<QueryExecution>> Coordinator::Execute(
     }
   }
 
-  // Scheduling tables: kept for the query's lifetime so recovery can
-  // rebuild any task's create request (ISSUE 7).
-  execution->recovery_enabled_ =
-      process_mode && config.max_task_retries > 0;
-  execution->max_task_retries_ = config.max_task_retries;
-  execution->task_counts_ = task_counts;
-  execution->placement_ = placement;
-  execution->fragment_jsons_.resize(num_fragments);
-  execution->generations_.resize(num_fragments);
-  execution->retry_counts_.resize(num_fragments);
-  execution->slot_finished_.resize(num_fragments);
-  execution->slot_recovering_.resize(num_fragments);
-  execution->journal_.resize(num_fragments);
-  execution->no_more_splits_.resize(num_fragments);
-  for (size_t f = 0; f < num_fragments; ++f) {
-    size_t count = static_cast<size_t>(task_counts[f]);
-    execution->generations_[f].assign(count, 0);
-    execution->retry_counts_[f].assign(count, 0);
-    execution->slot_finished_[f].assign(count, false);
-    execution->slot_recovering_[f].assign(count, false);
-    execution->journal_[f].resize(count);
+  // The slot table keeps what recovery needs to rebuild any task's create
+  // request; it journals splits only when a replacement can happen.
+  const bool recovery = process_mode && config.max_task_retries > 0;
+  std::vector<std::vector<int>> inputs_of(num_fragments);
+  for (const auto& fragment : fplan.fragments) {
+    inputs_of[static_cast<size_t>(fragment.id)] = fragment.inputs;
   }
+  // Fresh incarnations exist only with recovery, hence only in kProcess.
+  execution->slots_ = std::make_unique<SlotTable>(
+      placement, std::move(inputs_of), fplan.root_id,
+      recovery ? config.max_task_retries : 0,
+      [raw](int f, int t, int worker, int generation) {
+        return raw->MakeRemoteClient(f, t, worker, generation);
+      });
+  execution->task_counts_ = task_counts;
+  execution->fragment_jsons_.resize(num_fragments);
   execution->retries_counter_ = retries_counter_;
   execution->recovery_histogram_ = recovery_histogram_;
   execution->speculations_counter_ = speculations_counter_;
   execution->wins_counter_ = speculation_wins_counter_;
   execution->trace_shipped_counters_ = trace_shipped_counters_;
   execution->trace_dropped_counters_ = trace_dropped_counters_;
-  // Speculation rides on the recovery machinery (journal replay,
-  // generations, superseded clients) and needs a second worker to place
-  // replicas on; off by default (max_speculative_tasks = 0).
-  execution->speculation_enabled_ = execution->recovery_enabled_ &&
-                                    config.max_speculative_tasks > 0 &&
-                                    cluster_->num_workers() > 1;
-  if (execution->speculation_enabled_) {
-    execution->speculation_policy_.max_speculative_tasks =
-        config.max_speculative_tasks;
-    execution->speculation_policy_.quantile = config.speculation_quantile;
-    execution->speculation_policy_.min_samples = config.speculation_min_samples;
-    execution->speculation_policy_.min_stall_micros =
-        config.speculation_min_stall_micros;
-  }
+  execution->speculation_policy_.max_speculative_tasks =
+      config.max_speculative_tasks;
+  execution->speculation_policy_.min_stall_micros =
+      config.speculation_min_stall_micros;
 
   // Create the per-task clients.
+  std::vector<SlotTable::Launch> launches;
   for (const auto& fragment : fplan.fragments) {
     int count = task_counts[static_cast<size_t>(fragment.id)];
-    execution->fragment_remaining_[static_cast<size_t>(fragment.id)] = count;
-    execution->remaining_tasks_ += count;
     if (process_mode) {
       auto serialized = PlanFragmentToJson(fragment);
       if (!serialized.ok()) return serialized.status();
@@ -1755,74 +1143,62 @@ Result<std::shared_ptr<QueryExecution>> Coordinator::Execute(
     for (int t = 0; t < count; ++t) {
       int worker = placement[static_cast<size_t>(fragment.id)]
                             [static_cast<size_t>(t)];
+      std::shared_ptr<TaskClient> client;
       if (process_mode) {
         // Out-of-process task: ship the serialized fragment plus the
         // exchange endpoints of every producer task feeding it. (No lock
-        // needed pre-launch — nothing else references the tables yet.)
-        execution->tasks_[static_cast<size_t>(fragment.id)].push_back(
-            execution->MakeRemoteClientLocked(fragment.id, t));
-        continue;
+        // needed pre-launch — nothing else references the table yet.)
+        client = execution->MakeRemoteClient(fragment.id, t, worker, 0);
+      } else {
+        // In-process task: a local TaskExec behind DirectTaskClient.
+        if (config.network.transport == TransportMode::kHttp) {
+          // Consumers resolve a producer task's output via its worker's
+          // exchange endpoint; the coordinator owns placement, so it owns
+          // the (task -> endpoint) map too.
+          cluster_->exchange().RegisterTaskEndpoint(
+              query_id, fragment.id, t, cluster_->http_port(worker));
+        }
+        TaskRuntime runtime;
+        runtime.query_memory = execution->memory_.get();
+        runtime.worker_memory = &cluster_->worker(worker).memory();
+        runtime.exchange = &cluster_->exchange();
+        runtime.catalog = catalog_;
+        runtime.eval_mode = config.eval_mode;
+        runtime.exchange_buffer_bytes = config.exchange_buffer_bytes;
+        runtime.max_drivers_per_pipeline = config.max_drivers_per_pipeline;
+        runtime.trace = trace;
+        if (fragment.id == fplan.root_id) {
+          runtime.results = &execution->results_;
+        }
+        const auto& writer_counter =
+            execution->active_writers_[static_cast<size_t>(fragment.id)];
+        if (writer_counter != nullptr) {
+          runtime.active_output_partitions = writer_counter.get();
+        }
+        auto task = std::make_shared<TaskExec>(
+            execution->MakeSpec(fragment.id, t, worker, 0), runtime,
+            &fplan.fragments[static_cast<size_t>(fragment.id)]);
+        PRESTO_RETURN_IF_ERROR(task->Initialize());
+        client = std::make_shared<DirectTaskClient>(
+            std::move(task), &cluster_->worker(worker).executor(),
+            &cluster_->exchange());
       }
-
-      TaskSpec spec;
-      spec.query_id = query_id;
-      spec.fragment_id = fragment.id;
-      spec.task_index = t;
-      spec.num_tasks = count;
-      spec.consumer_partitions =
-          fragment.consumer >= 0
-              ? task_counts[static_cast<size_t>(fragment.consumer)]
-              : 1;
-      spec.worker_id = worker;
-      for (int input : fragment.inputs) {
-        spec.source_task_counts[input] =
-            task_counts[static_cast<size_t>(input)];
-      }
-
-      // In-process task: the pre-ISSUE-6 path, byte for byte, behind
-      // DirectTaskClient.
-      if (config.network.transport == TransportMode::kHttp) {
-        // Consumers resolve a producer task's output via its worker's
-        // exchange endpoint; the coordinator owns placement, so it owns
-        // the (task -> endpoint) map too.
-        cluster_->exchange().RegisterTaskEndpoint(
-            query_id, fragment.id, t, cluster_->http_port(worker));
-      }
-      TaskRuntime runtime;
-      runtime.query_memory = execution->memory_.get();
-      runtime.worker_memory = &cluster_->worker(worker).memory();
-      runtime.exchange = &cluster_->exchange();
-      runtime.catalog = catalog_;
-      runtime.eval_mode = config.eval_mode;
-      runtime.exchange_buffer_bytes = config.exchange_buffer_bytes;
-      runtime.max_drivers_per_pipeline = config.max_drivers_per_pipeline;
-      runtime.trace = trace;
-      if (fragment.id == fplan.root_id) {
-        runtime.results = &execution->results_;
-      }
-      const auto& writer_counter =
-          execution->active_writers_[static_cast<size_t>(fragment.id)];
-      if (writer_counter != nullptr) {
-        runtime.active_output_partitions = writer_counter.get();
-      }
-      auto task = std::make_shared<TaskExec>(
-          spec, runtime,
-          &fplan.fragments[static_cast<size_t>(fragment.id)]);
-      PRESTO_RETURN_IF_ERROR(task->Initialize());
-      execution->tasks_[static_cast<size_t>(fragment.id)].push_back(
-          std::make_shared<DirectTaskClient>(std::move(task),
-                                             &cluster_->worker(worker)
-                                                  .executor(),
-                                             &cluster_->exchange()));
+      execution->slots_->Install(fragment.id, t, client);
+      launches.push_back({fragment.id, t, 0, std::move(client)});
     }
   }
 
-  if (execution->lifecycle_ != nullptr) {
-    std::map<int, int> fragment_task_counts;
-    for (const auto& fragment : fplan.fragments) {
-      fragment_task_counts[fragment.id] =
-          task_counts[static_cast<size_t>(fragment.id)];
+  std::map<int, int> fragment_task_counts;
+  for (const auto& fragment : fplan.fragments) {
+    const int count = task_counts[static_cast<size_t>(fragment.id)];
+    fragment_task_counts[fragment.id] = count;
+    if (trace != nullptr) {
+      trace->RecordInstant("scheduler", "stage_scheduled", 0, 0,
+                           {{"fragment", std::to_string(fragment.id)},
+                            {"tasks", std::to_string(count)}});
     }
+  }
+  if (execution->lifecycle_ != nullptr) {
     execution->lifecycle_->MarkRunning(std::move(fragment_task_counts));
   }
 
@@ -1838,83 +1214,34 @@ Result<std::shared_ptr<QueryExecution>> Coordinator::Execute(
 
   // Recovery plumbing must exist before the first Launch: a create that
   // fails on a just-dead worker re-enters OnTaskDone, which may absorb
-  // the failure into a recovery request immediately.
-  QueryExecution* raw = execution.get();
-  if (execution->recovery_enabled_) {
-    execution->recovery_ = std::make_unique<TaskRecoveryManager>(
-        [raw](const RecoveryRequest& request) { raw->RunRecovery(request); });
+  // the failure into a recovery round immediately. Speculation rides on
+  // the same machinery (journal replay, generations, superseded clients)
+  // and needs a second worker to place replicas on; off by default
+  // (max_speculative_tasks = 0). Ticks started now are harmless:
+  // SpeculationTick early-outs until the launch ends.
+  if (recovery) {
+    SlotJobQueue::Job tick;
+    if (config.max_speculative_tasks > 0 && cluster_->num_workers() > 1) {
+      tick = [raw] { raw->SpeculationTick(); };
+    }
+    execution->jobs_ = std::make_unique<SlotJobQueue>(
+        config.speculation_interval_micros, std::move(tick));
     execution->liveness_listener_ = cluster_->liveness().AddDeathListener(
         [raw](int worker) { raw->OnWorkerDeath(worker); });
-  }
-  if (execution->speculation_enabled_) {
-    // Ticks started now are harmless: SpeculationTick early-outs until
-    // launch_complete_.
-    execution->speculation_ = std::make_unique<SpeculationManager>(
-        config.speculation_interval_micros, [raw] { raw->SpeculationTick(); });
   }
 
   // Launch: register every task with its worker's executor — local MLFQ in
   // kThreads mode, a remote daemon's via the create RPC in kProcess mode
   // (all-at-once; phased mode defers only split enumeration, keeping
   // pipelines available to consume build sides without deadlocks).
-  for (const auto& fragment_tasks : execution->tasks_) {
-    if (trace != nullptr && !fragment_tasks.empty()) {
-      trace->RecordInstant(
-          "scheduler", "stage_scheduled", 0, 0,
-          {{"fragment",
-            std::to_string(fragment_tasks.front()->spec().fragment_id)},
-           {"tasks", std::to_string(fragment_tasks.size())}});
-    }
-    for (const auto& task : fragment_tasks) {
-      int fragment = task->spec().fragment_id;
-      int task_index = task->spec().task_index;
-      // A create failure earlier in this loop may already have failed the
-      // query (no retry budget) and aborted every task launched so far.
-      // Creating MORE tasks after that sweep would strand them: nothing
-      // aborts them again, their callbacks never fire, and Wait() hangs.
-      // Settle the accounting without launching instead.
-      bool already_failed;
-      {
-        std::lock_guard<std::mutex> lock(execution->mu_);
-        already_failed = execution->finished_;
-      }
-      if (already_failed) {
-        raw->OnTaskDone(fragment, task_index, /*generation=*/0,
-                        Status::Cancelled("query failed before launch"));
-        continue;
-      }
-      // Raw capture is safe: ~QueryExecution waits for every task callback
-      // before releasing the object.
-      Status launched =
-          task->Launch([raw, fragment, task_index](Status status) {
-            raw->OnTaskDone(fragment, task_index, /*generation=*/0, status);
-          });
-      if (!launched.ok()) {
-        // The callback will never fire for this task; settle its
-        // accounting directly so Wait() terminates and the failure
-        // becomes the query status (or a recovery request).
-        raw->OnTaskDone(fragment, task_index, /*generation=*/0, launched);
-      }
-    }
-  }
-  // An asynchronous failure can interleave with the loop above: a task
-  // launched after that failure's abort sweep would be missed by it.
-  // Re-sweep now that the task set is complete.
-  if (process_mode) {
-    bool failed_during_launch;
-    {
-      std::lock_guard<std::mutex> lock(execution->mu_);
-      failed_during_launch = execution->finished_;
-    }
-    if (failed_during_launch) execution->AbortAllTasks();
-  }
-
-  // Unblock recovery: every gen-0 Launch has been issued, so the recovery
-  // thread may now swap replacement clients into tasks_.
+  raw->LaunchAndReplay(launches);
   {
     std::lock_guard<std::mutex> lock(execution->mu_);
-    execution->launch_complete_ = true;
+    if (execution->phase_ == QueryExecution::Phase::kLaunching) {
+      execution->phase_ = QueryExecution::Phase::kRunning;
+    }
   }
+  // Unblocks a recovery round that waited for the launch to end.
   execution->done_cv_.notify_all();
 
   // Start the split/monitor thread. It captures a raw pointer: the
@@ -1925,8 +1252,6 @@ Result<std::shared_ptr<QueryExecution>> Coordinator::Execute(
     execution->result_fetch_thread_ =
         std::thread([raw] { raw->ResultFetchLoop(); });
   }
-  execution->launched_ = true;
-
   return execution;
 }
 

@@ -3,10 +3,8 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -16,6 +14,7 @@
 #include "exec/task.h"
 #include "fragment/fragmenter.h"
 #include "schedule/cluster.h"
+#include "schedule/slot_table.h"
 #include "schedule/speculation.h"
 #include "schedule/task_recovery.h"
 #include "stats/metrics_registry.h"
@@ -75,58 +74,70 @@ class QueryExecution {
   friend class Coordinator;
   QueryExecution() = default;
 
+  /// Query lifecycle, in order. kLaunching: Execute() is issuing the
+  /// generation-0 creates (recovery and speculation wait for it to end).
+  /// kDeferred (kProcess): every task settled but the result-fetch thread
+  /// still drains the root buffer; it owns finishing and finalizing.
+  /// kFinishing: the final status is decided and the result stream
+  /// finished. kFinalized: resources released, admission slot freed.
+  enum class Phase { kLaunching, kRunning, kDeferred, kFinishing, kFinalized };
+
+  /// The query settled or is settling: nothing is recovered, speculated or
+  /// absorbed anymore. Caller holds mu_.
+  bool SettledLocked() const {
+    return phase_ >= Phase::kDeferred || memory_->killed();
+  }
+
   void SplitSchedulingLoop();
-  /// Terminal-status callback for task slot (fragment, task). `generation`
-  /// identifies the incarnation that completed: a callback from a
-  /// superseded incarnation only settles its accounting, while a
-  /// current-generation worker-loss failure is absorbed into a recovery
-  /// request instead of failing the query (ISSUE 7).
+  /// Terminal-status callback of incarnation `generation` of slot
+  /// (fragment, task); SlotTable::Settle decides what it means.
   void OnTaskDone(int fragment, int task, int generation,
                   const Status& status);
+  /// Fails the query with `cause`: finishes the stream, kills the memory
+  /// context, aborts every task and discharges the slot table's holds.
+  /// Caller holds mu_.
+  void FailLocked(const Status& cause);
   /// Best-effort cancel RPC to every task (no-op clients ignore it).
-  /// Snapshots the client vector under tasks_mu_, then calls outside it.
+  /// Snapshots the clients under mu_, then calls outside it.
   void AbortAllTasks();
   /// Liveness death listener (kProcess with retries): queues a recovery
-  /// request for every unfinished slot placed on `worker`.
+  /// request for every slot placed on `worker`.
   void OnWorkerDeath(int worker);
-  /// Recovery-thread handler for one queued request: computes the restart
-  /// closure, re-places the dead worker's slots on live workers, launches
-  /// generation+1 replacements, and replays their journaled splits — or
-  /// fails the query cleanly when retries are exhausted, no live worker
-  /// remains, or a non-replayable stage (result frames already delivered
-  /// to the client) is involved.
-  void RunRecovery(const RecoveryRequest& request);
-  /// Builds the HTTP client + create request for slot (fragment, task)
-  /// from the current placement_/generations_ tables. Caller holds
-  /// tasks_mu_ (or is single-threaded pre-launch inside Execute()).
-  std::shared_ptr<TaskClient> MakeRemoteClientLocked(int fragment, int task);
-  /// Same, but for an explicit worker and generation (speculative replicas
-  /// run at generation+1 on a worker the placement table does not know
-  /// about until the replica is promoted). Caller holds tasks_mu_.
-  std::shared_ptr<TaskClient> MakeRemoteClientForLocked(int fragment,
-                                                        int task, int worker,
-                                                        int generation);
-  /// SpeculationManager tick (ISSUE 9): samples every slot's progress from
-  /// the status caches, picks stragglers via PickStragglers, and races a
-  /// higher-generation replica on a different live worker against each.
+  /// Job-thread recovery round for incarnation `generation` of a slot
+  /// that lost its worker: SlotTable::Recover, then LaunchAndReplay of the
+  /// replacements — or a clean query failure when retries are exhausted,
+  /// no live worker remains, or delivered result frames make the root
+  /// stage non-replayable.
+  void RunRecovery(int fragment, int task, int generation,
+                   const Status& cause);
+  /// Job-thread speculation tick: samples every slot's progress,
+  /// picks stragglers via PickStragglers, and races a replica against each.
   void SpeculationTick();
-  /// Speculation-thread handler for a replica that finished first: decides
-  /// promotion (the replica becomes the slot's incarnation, consumers of
-  /// its fragment restart like a recovery round, the original is aborted
-  /// kCancelled) or abandonment (results already delivered / recovery owns
-  /// the slot — the replica is aborted and the original keeps running).
+  /// Job-thread handler for a replica that finished first:
+  /// SlotTable::Promote, or Abandon when promotion is refused.
   void RunPromotion(int fragment, int task, int generation);
-  /// Settles every speculative replica during query failure/teardown:
-  /// aborts it, parks its client in superseded_clients_, and discharges a
-  /// won-replica's held completion. Caller holds mu_ and tasks_mu_.
-  void DischargeSpeculationLocked();
-  /// The shared tail of OnTaskDone/RunRecovery under mu_: finishes the
-  /// stream and finalizes once remaining_tasks_ drained to zero.
+  /// Launches fresh incarnations outside every lock (a create failure
+  /// re-enters OnTaskDone), then replays their journals under mu_. An
+  /// incarnation takes live split deliveries only after its replay.
+  void LaunchAndReplay(const std::vector<SlotTable::Launch>& launches);
+  /// The TaskSpec of an incarnation of slot (fragment, task).
+  TaskSpec MakeSpec(int fragment, int task, int worker, int generation) const;
+  /// Builds the HTTP client + create request for an incarnation of slot
+  /// (fragment, task); producer endpoints come from the slot table.
+  /// Caller holds mu_ (or is single-threaded inside Execute()).
+  std::shared_ptr<TaskClient> MakeRemoteClient(int fragment, int task,
+                                               int worker, int generation);
+  /// Points the result-fetch loop at the root slot's current incarnation.
+  /// Caller holds mu_ and fetch_mu_.
+  void RebindRootLocked();
+  std::vector<int> LiveWorkers() const;
+  /// Records a coordinator trace instant about incarnation `generation`
+  /// of slot (fragment, task).
+  void TraceSlot(const char* name, int fragment, int task, int generation,
+                 std::vector<std::pair<std::string, std::string>> extra = {});
+  /// The shared tail of every transition under mu_: finishes the stream
+  /// and finalizes once no task callback is outstanding.
   void FinishIfDrainedLocked();
-  /// Converts every absorbed recovery hold back into a completed-task
-  /// decrement (the query is failing; no replacement will consume them).
-  /// Caller holds mu_ and tasks_mu_.
-  void DischargeRecoveryHoldsLocked();
   /// kProcess only: pulls the root task's output buffer over the exchange
   /// protocol into results_, finishing the stream when the buffer
   /// completes (and aborting still-running upstream producers, e.g. after
@@ -150,40 +161,22 @@ class QueryExecution {
   FragmentedPlan plan_;
   std::unique_ptr<QueryMemory> memory_;
   ResultQueue results_;
-  // tasks_[fragment][task_index]; DirectTaskClient in kThreads mode,
-  // HttpTaskClient in kProcess mode. The vector shape is immutable once
-  // launched; individual elements are swapped by recovery under tasks_mu_.
-  std::vector<std::vector<std::shared_ptr<TaskClient>>> tasks_;
   // Round-robin writer-scaling state per fragment (producer side).
   std::vector<std::unique_ptr<std::atomic<int>>> active_writers_;
 
+  /// Guards phase_, final_status_ and slots_. Lock order: mu_ before
+  /// fetch_mu_; never the reverse.
   mutable std::mutex mu_;
   std::condition_variable done_cv_;
-  int remaining_tasks_ = 0;
-  std::vector<int> fragment_remaining_;
-  std::vector<bool> fragment_done_;
+  Phase phase_ = Phase::kLaunching;
   Status final_status_;
-  bool finished_ = false;
-  /// kProcess: set when the last task completed successfully but the
-  /// result-fetch thread had not yet drained the root output buffer; that
-  /// thread then owns finishing the stream and running FinalizeLocked().
-  bool defer_finalize_ = false;
-  bool finalized_ = false;
-  /// Set (under mu_) once Execute()'s initial launch loop has issued every
-  /// gen-0 Launch. RunRecovery() blocks on it: a create that fails
-  /// synchronously mid-loop (worker died before the query started) would
-  /// otherwise let the recovery thread swap replacement clients into
-  /// tasks_ while the loop is still walking it — and the loop would then
-  /// Launch an already-launched replacement a second time.
-  bool launch_complete_ = false;
+  /// Every task slot: clients, placement, generations, split journals,
+  /// replicas, and the outstanding-callback count Wait() drains.
+  std::unique_ptr<SlotTable> slots_;
 
   std::thread split_thread_;
   std::atomic<bool> stop_split_thread_{false};
   std::function<void()> on_complete_;  // admission-slot release
-  /// True once every task is registered with an executor (i.e. OnTaskDone
-  /// callbacks will eventually fire). A failed Execute() tears down an
-  /// unlaunched execution, and waiting for callbacks then would hang.
-  bool launched_ = false;
   /// Makes Cancel() exactly-once across client cancel, internal errors,
   /// and destructor abandonment racing each other.
   std::once_flag cancel_once_;
@@ -193,72 +186,20 @@ class QueryExecution {
   int root_fetch_port_ = -1;
   std::thread result_fetch_thread_;
   std::atomic<bool> stop_fetch_thread_{false};
-
-  /// ---- Task recovery on worker death (ISSUE 7; kProcess only). ----
-  /// Guards the slot tables below plus the elements of tasks_. Lock order:
-  /// mu_ before tasks_mu_ before fetch_mu_; never the reverse.
-  mutable std::mutex tasks_mu_;
-  bool recovery_enabled_ = false;
-  int max_task_retries_ = 0;
-  /// Serialized fragments + scheduling tables kept so a replacement task's
+  /// Serialized fragments + task counts kept so a replacement task's
   /// create request can be rebuilt at any time.
   std::vector<Json> fragment_jsons_;
   std::vector<int> task_counts_;
-  std::vector<std::vector<int>> placement_;    // [fragment][task] -> worker
-  std::vector<std::vector<int>> generations_;  // current incarnation
-  std::vector<std::vector<int>> retry_counts_; // dead-worker restarts only
-  std::vector<std::vector<bool>> slot_finished_;
-  /// Slot whose terminal callback was absorbed into a pending recovery
-  /// request: remaining_tasks_ still counts it (the "hold") until a
-  /// recovery round launches its replacement or fails the query.
-  std::vector<std::vector<bool>> slot_recovering_;
-  /// Split-assignment journal: everything ever routed to a slot, replayed
-  /// verbatim into its replacement. Connector pointers outlive the query
-  /// (catalog-owned).
-  struct SlotJournal {
-    std::map<int, std::vector<std::pair<SplitPtr, Connector*>>> splits;
-  };
-  std::vector<std::vector<SlotJournal>> journal_;
-  std::vector<std::set<int>> no_more_splits_;  // per fragment: closed nodes
-  /// Clients replaced by recovery, kept alive until the execution is
-  /// destroyed: destroying an HttpTaskClient joins its poll thread, and
-  /// that thread may be blocked on mu_ delivering the stale callback (so
-  /// freeing inside the recovery round would deadlock) or may itself be
-  /// the thread running FinalizeLocked() (a self-join). Only
-  /// ~QueryExecution — a waiter thread, after every callback settled —
-  /// may free them. Guarded by tasks_mu_.
-  std::vector<std::shared_ptr<TaskClient>> superseded_clients_;
-  /// Parks the split-scheduling loop while a recovery round swaps clients
-  /// and replays journals.
-  std::atomic<bool> recovery_pause_{false};
-  std::unique_ptr<TaskRecoveryManager> recovery_;
+
+  /// ---- Task recovery and straggler speculation. ----
+  /// Runs recovery rounds, promotions and speculation ticks. Present when
+  /// kProcess runs with max_task_retries > 0, which is exactly when the
+  /// slot table journals splits; it ticks only with speculation on.
+  std::unique_ptr<SlotJobQueue> jobs_;
   int liveness_listener_ = -1;
   Counter* retries_counter_ = nullptr;        // presto_task_retries_total
   Histogram* recovery_histogram_ = nullptr;   // recovery latency, seconds
-
-  /// ---- Speculative execution of stragglers (ISSUE 9; kProcess only). ----
-  /// One active replica racing a slot's current incarnation. Guarded by
-  /// tasks_mu_. Every registry entry holds +1 in remaining_tasks_ (the
-  /// replica's own terminal callback), so the registry is provably empty
-  /// by the time FinalizeLocked() runs.
-  struct SpecReplica {
-    int generation = 0;   // original generation + 1 at launch time
-    int worker = -1;      // never equal to placement_[fragment][task]
-    /// Journal replayed into the replica; the split loop may forward live
-    /// deliveries only afterwards (pre-replay splits reach the replica via
-    /// the journal — forwarding earlier would deliver them twice).
-    bool replayed = false;
-    /// The replica finished OK and its callback is held until RunPromotion
-    /// decides commit-vs-abandon (mirrors the recovery holds).
-    bool won = false;
-    std::shared_ptr<TaskClient> client;
-  };
-  std::map<std::pair<int, int>, SpecReplica> spec_replicas_;
-  /// Slots ever speculated this query — never two replicas of one task.
-  std::set<std::pair<int, int>> speculated_;
-  bool speculation_enabled_ = false;
   SpeculationPolicy speculation_policy_;
-  std::unique_ptr<SpeculationManager> speculation_;
   Counter* speculations_counter_ = nullptr;  // presto_task_speculations_total
   Counter* wins_counter_ = nullptr;          // presto_speculation_wins_total
 

@@ -1,7 +1,6 @@
 #include "schedule/speculation.h"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 
 namespace presto {
@@ -51,51 +50,6 @@ std::vector<std::pair<int, int>> PickStragglers(
     picked.emplace_back(sample->fragment, sample->task);
   }
   return picked;
-}
-
-SpeculationManager::SpeculationManager(int64_t interval_micros, Tick tick)
-    : interval_micros_(interval_micros > 0 ? interval_micros : 50'000),
-      tick_(std::move(tick)) {
-  thread_ = std::thread([this] { Loop(); });
-}
-
-void SpeculationManager::Enqueue(std::function<void()> job) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    jobs_.push_back(std::move(job));
-  }
-  cv_.notify_all();
-}
-
-void SpeculationManager::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) return;
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-void SpeculationManager::Loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (true) {
-    cv_.wait_for(lock, std::chrono::microseconds(interval_micros_),
-                 [this] { return stop_ || !jobs_.empty(); });
-    // Drain jobs first: a promotion decides a replica race and must not
-    // wait behind another sampling pass.
-    while (!jobs_.empty()) {
-      auto job = std::move(jobs_.front());
-      jobs_.pop_front();
-      lock.unlock();
-      job();
-      lock.lock();
-    }
-    if (stop_) return;
-    lock.unlock();
-    tick_();
-    lock.lock();
-  }
 }
 
 }  // namespace presto

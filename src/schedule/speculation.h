@@ -1,12 +1,7 @@
 #ifndef PRESTOCPP_SCHEDULE_SPECULATION_H_
 #define PRESTOCPP_SCHEDULE_SPECULATION_H_
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -63,42 +58,6 @@ struct SpeculationPolicy {
 std::vector<std::pair<int, int>> PickStragglers(
     const std::vector<TaskProgressSample>& samples,
     const SpeculationPolicy& policy, int live_workers);
-
-/// Serializes speculation work onto one background thread (sibling of
-/// TaskRecoveryManager): a periodic tick samples progress and launches
-/// replicas; enqueued jobs (replica-win promotions) run ahead of the next
-/// tick. The tick/jobs run without any SpeculationManager lock held, so
-/// they may freely block on coordinator mutexes or call back into
-/// Enqueue().
-class SpeculationManager {
- public:
-  using Tick = std::function<void()>;
-
-  SpeculationManager(int64_t interval_micros, Tick tick);
-  ~SpeculationManager() { Stop(); }
-
-  SpeculationManager(const SpeculationManager&) = delete;
-  SpeculationManager& operator=(const SpeculationManager&) = delete;
-
-  /// Runs `job` on the manager thread before the next tick. Used for
-  /// replica-win promotions so they serialize with candidate selection.
-  void Enqueue(std::function<void()> job);
-
-  /// Stops the thread after draining queued jobs (a queued promotion may
-  /// be the only thing discharging a held task callback). Idempotent.
-  void Stop();
-
- private:
-  void Loop();
-
-  const int64_t interval_micros_;
-  Tick tick_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<std::function<void()>> jobs_;
-  bool stop_ = false;
-  std::thread thread_;
-};
 
 }  // namespace presto
 

@@ -1,5 +1,8 @@
 #include "schedule/task_recovery.h"
 
+#include <algorithm>
+#include <chrono>
+
 namespace presto {
 
 std::vector<std::pair<int, int>> ComputeRestartSet(
@@ -9,82 +12,98 @@ std::vector<std::pair<int, int>> ComputeRestartSet(
     bool root_needed, int dead_worker) {
   size_t num_fragments = placement.size();
   std::vector<std::vector<bool>> restart(num_fragments);
+  // Rule (a) alone decides the dead worker's slots: rule (b) must not
+  // restart a pruned victim as collateral, so it sees them as finished.
+  std::vector<std::vector<bool>> settled = finished;
   for (size_t f = 0; f < num_fragments; ++f) {
     restart[f].assign(placement[f].size(), false);
-  }
-  // Producer -> consumer edges (inverse of inputs_of).
-  std::vector<std::vector<int>> consumers_of(num_fragments);
-  for (size_t f = 0; f < num_fragments; ++f) {
-    for (int input : inputs_of[f]) {
-      consumers_of[static_cast<size_t>(input)].push_back(
-          static_cast<int>(f));
+    for (size_t t = 0; t < placement[f].size(); ++t) {
+      if (placement[f][t] == dead_worker) settled[f][t] = true;
     }
   }
   auto output_needed = [&](size_t f) {
     if (static_cast<int>(f) == root_fragment) return root_needed;
-    for (int c : consumers_of[f]) {
-      const auto& slots = finished[static_cast<size_t>(c)];
-      for (size_t t = 0; t < slots.size(); ++t) {
-        if (!slots[t] || restart[static_cast<size_t>(c)][t]) return true;
+    for (size_t c = 0; c < num_fragments; ++c) {
+      const auto& inputs = inputs_of[c];
+      if (std::find(inputs.begin(), inputs.end(), static_cast<int>(f)) ==
+          inputs.end()) {
+        continue;  // c does not consume f
+      }
+      for (size_t t = 0; t < finished[c].size(); ++t) {
+        if (!finished[c][t] || restart[c][t]) return true;
       }
     }
     return false;
   };
-  auto any_input_restarting = [&](size_t f) {
-    for (int input : inputs_of[f]) {
-      for (bool r : restart[static_cast<size_t>(input)]) {
-        if (r) return true;
-      }
-    }
-    return false;
-  };
-  // Both rules are monotone in the restart set, so iterating to fixpoint
-  // terminates (each pass either adds a slot or stops).
+  // Rule (a) to fixpoint: a finished victim that restarts makes the output
+  // of its own dead producers needed again. Rule (b) only ever adds
+  // unfinished slots, which already count as needing their inputs, so it
+  // cannot feed back into rule (a) and runs once afterwards.
   bool changed = true;
   while (changed) {
     changed = false;
     for (size_t f = 0; f < num_fragments; ++f) {
       for (size_t t = 0; t < placement[f].size(); ++t) {
-        if (restart[f][t]) continue;
-        if (placement[f][t] == dead_worker) {
-          if (output_needed(f)) {
-            restart[f][t] = true;
-            changed = true;
-          }
-        } else if (!finished[f][t] && any_input_restarting(f)) {
+        if (!restart[f][t] && placement[f][t] == dead_worker &&
+            output_needed(f)) {
           restart[f][t] = true;
           changed = true;
         }
       }
     }
   }
-  std::vector<std::pair<int, int>> result;
-  for (size_t f = 0; f < num_fragments; ++f) {
-    for (size_t t = 0; t < restart[f].size(); ++t) {
-      if (restart[f][t]) {
-        result.emplace_back(static_cast<int>(f), static_cast<int>(t));
+  return AddConsumerClosure(settled, inputs_of, &restart);
+}
+
+std::vector<std::pair<int, int>> AddConsumerClosure(
+    const std::vector<std::vector<bool>>& finished,
+    const std::vector<std::vector<int>>& inputs_of,
+    std::vector<std::vector<bool>>* restart) {
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (size_t f = 0; f < restart->size(); ++f) {
+      bool input_restarting = false;
+      for (int input : inputs_of[f]) {
+        for (bool r : (*restart)[static_cast<size_t>(input)]) {
+          input_restarting = input_restarting || r;
+        }
+      }
+      if (!input_restarting) continue;
+      for (size_t t = 0; t < finished[f].size(); ++t) {
+        if (!finished[f][t] && !(*restart)[f][t]) {
+          (*restart)[f][t] = true;
+          changed = true;
+        }
       }
     }
   }
-  return result;
+  std::vector<std::pair<int, int>> marked;
+  for (size_t f = 0; f < restart->size(); ++f) {
+    for (size_t t = 0; t < (*restart)[f].size(); ++t) {
+      if ((*restart)[f][t]) {
+        marked.emplace_back(static_cast<int>(f), static_cast<int>(t));
+      }
+    }
+  }
+  return marked;
 }
 
-void TaskRecoveryManager::Enqueue(RecoveryRequest request) {
+SlotJobQueue::SlotJobQueue(int64_t tick_interval_micros, Job tick)
+    : tick_interval_micros_(tick_interval_micros > 0 ? tick_interval_micros
+                                                     : 50'000),
+      tick_(std::move(tick)) {
+  thread_ = std::thread([this] { Loop(); });
+}
+
+void SlotJobQueue::Enqueue(Job job) {
   std::lock_guard<std::mutex> lock(mu_);
   if (stop_) return;
-  if (!seen_.insert({request.fragment, request.task, request.generation})
-           .second) {
-    return;
-  }
-  queue_.push_back(std::move(request));
-  if (!started_) {
-    started_ = true;
-    thread_ = std::thread([this] { Loop(); });
-  }
+  jobs_.push_back(std::move(job));
   cv_.notify_all();
 }
 
-void TaskRecoveryManager::Stop() {
+void SlotJobQueue::Stop() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
@@ -93,25 +112,28 @@ void TaskRecoveryManager::Stop() {
   if (thread_.joinable()) thread_.join();
 }
 
-void TaskRecoveryManager::Loop() {
-  for (;;) {
-    RecoveryRequest request;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      // Drain before stopping: every queued request may carry an
-      // accounting hold the owner's Wait() depends on.
-      if (queue_.empty()) return;
-      request = std::move(queue_.front());
-      queue_.pop_front();
+void SlotJobQueue::Loop() {
+  std::unique_lock<std::mutex> lock(mu_);
+  while (true) {
+    auto ready = [this] { return stop_ || !jobs_.empty(); };
+    if (tick_) {
+      cv_.wait_for(lock, std::chrono::microseconds(tick_interval_micros_),
+                   ready);
+    } else {
+      cv_.wait(lock, ready);
     }
-    handler_(request);
-    {
-      // Re-arm the dedup entry: a round that turned into a no-op (restart
-      // set empty, hold consumed) must not block a later re-absorb of the
-      // same (fragment, task, generation) from ever being processed.
-      std::lock_guard<std::mutex> lock(mu_);
-      seen_.erase({request.fragment, request.task, request.generation});
+    while (!jobs_.empty()) {
+      Job job = std::move(jobs_.front());
+      jobs_.pop_front();
+      lock.unlock();
+      job();
+      lock.lock();
+    }
+    if (stop_) return;
+    if (tick_) {
+      lock.unlock();
+      tick_();
+      lock.lock();
     }
   }
 }

@@ -2,28 +2,15 @@
 #define PRESTOCPP_SCHEDULE_TASK_RECOVERY_H_
 
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
-#include <set>
 #include <thread>
-#include <tuple>
+#include <utility>
 #include <vector>
 
-#include "common/status.h"
-
 namespace presto {
-
-/// One task slot the coordinator wants re-created after a worker died
-/// (ISSUE 7). `generation` is the incarnation whose failure triggered the
-/// request — a request whose generation no longer matches the slot's
-/// current one was already handled by an earlier recovery round.
-struct RecoveryRequest {
-  int fragment = -1;
-  int task = -1;
-  int generation = 0;
-  Status cause = Status::OK();
-};
 
 /// Computes the set of task slots that must be re-created after
 /// `dead_worker` died, as the fixpoint of three rules over the fragment
@@ -52,42 +39,49 @@ std::vector<std::pair<int, int>> ComputeRestartSet(
     const std::vector<std::vector<int>>& inputs_of, int root_fragment,
     bool root_needed, int dead_worker);
 
-/// Serializes recovery work onto one background thread: requests are
-/// deduplicated by (fragment, task, generation) and handed to the handler
-/// in arrival order. The handler runs without any TaskRecoveryManager lock
-/// held, so it may freely call back into Enqueue (a replacement that dies
-/// in turn) or block on coordinator mutexes.
-class TaskRecoveryManager {
+/// Rule (b) on its own: marks in `restart` every unfinished slot of a
+/// fragment that transitively consumes a fragment with a marked slot, and
+/// returns every marked slot (seeds included) in fragment-major order.
+/// ComputeRestartSet seeds it with the dead worker's restarting slots; a
+/// speculative promotion seeds it with the promoted slot, whose consumers
+/// are bound to the losing original's output buffers.
+std::vector<std::pair<int, int>> AddConsumerClosure(
+    const std::vector<std::vector<bool>>& finished,
+    const std::vector<std::vector<int>>& inputs_of,
+    std::vector<std::vector<bool>>* restart);
+
+/// Serializes a query's slot work — recovery rounds, speculative
+/// promotions and the periodic speculation tick — onto one background
+/// thread, so the two policies never race each other. Jobs run in arrival
+/// order ahead of the next tick, without any queue lock held: they may
+/// block on coordinator mutexes or call Enqueue() again.
+class SlotJobQueue {
  public:
-  using Handler = std::function<void(const RecoveryRequest&)>;
+  using Job = std::function<void()>;
 
-  explicit TaskRecoveryManager(Handler handler)
-      : handler_(std::move(handler)) {}
-  ~TaskRecoveryManager() { Stop(); }
+  /// `tick` (may be empty) runs every `tick_interval_micros` while the
+  /// queue is idle.
+  SlotJobQueue(int64_t tick_interval_micros, Job tick);
+  ~SlotJobQueue() { Stop(); }
 
-  TaskRecoveryManager(const TaskRecoveryManager&) = delete;
-  TaskRecoveryManager& operator=(const TaskRecoveryManager&) = delete;
+  SlotJobQueue(const SlotJobQueue&) = delete;
+  SlotJobQueue& operator=(const SlotJobQueue&) = delete;
 
-  /// Queues a request (starting the worker thread on first use). Duplicate
-  /// (fragment, task, generation) triples — the liveness listener and the
-  /// task client's own death verdict racing each other — collapse to one.
-  void Enqueue(RecoveryRequest request);
+  void Enqueue(Job job);
 
-  /// Stops the worker thread after it drained the queue. Idempotent. The
-  /// owner must guarantee the handler can still make progress (no pending
-  /// hold depends on an un-processed request) before destroying itself.
+  /// Stops the thread after it drained the queue: a queued job may be the
+  /// only thing discharging a held task callback. Idempotent.
   void Stop();
 
  private:
   void Loop();
 
-  Handler handler_;
+  const int64_t tick_interval_micros_;
+  Job tick_;
   std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<RecoveryRequest> queue_;
-  std::set<std::tuple<int, int, int>> seen_;
+  std::deque<Job> jobs_;
   bool stop_ = false;
-  bool started_ = false;
   std::thread thread_;
 };
 

@@ -543,8 +543,6 @@ TEST_F(ProcessClusterTest, StalledWorkerIsOutRacedBySpeculation) {
     options.cluster.remote_workers = addresses_;
     options.cluster.heartbeat_timeout_micros = 60'000'000;
     options.cluster.max_speculative_tasks = 4;
-    options.cluster.speculation_quantile = 0.5;
-    options.cluster.speculation_min_samples = 2;
     options.cluster.speculation_min_stall_micros = 250'000;
     options.cluster.speculation_interval_micros = 25'000;
     auto engine = std::make_unique<PrestoEngine>(std::move(options));
