@@ -146,10 +146,8 @@ class ExchangePlanner {
       case PlanNodeKind::kValues:
         return {node, {Property::Kind::kSingle, {}, 0}};
       case PlanNodeKind::kFilter: {
-        const auto& filter = static_cast<const FilterNode&>(*node);
         WithProperty child = Add(node->child());
-        return {std::make_shared<FilterNode>(ctx_->NewId(),
-                                             filter.predicate(), child.node),
+        return {WithChildren(*node, ctx_->NewId(), {child.node}),
                 child.property};
       }
       case PlanNodeKind::kProject: {
@@ -189,10 +187,7 @@ class ExchangePlanner {
             prop.keys.clear();
           }
         }
-        return {std::make_shared<ProjectNode>(ctx_->NewId(),
-                                              project.expressions(),
-                                              project.output(), child.node),
-                prop};
+        return {WithChildren(*node, ctx_->NewId(), {child.node}), prop};
       }
       case PlanNodeKind::kAggregate: {
         const auto& agg = static_cast<const AggregateNode&>(*node);
@@ -201,10 +196,7 @@ class ExchangePlanner {
         if (agg.group_keys().empty()) {
           if (child.property.kind == Property::Kind::kSingle) {
             // Already on one task: aggregate in place.
-            return {std::make_shared<AggregateNode>(
-                        ctx_->NewId(), AggregationStep::kSingle,
-                        agg.group_keys(), agg.aggregates(), agg.output(),
-                        child.node),
+            return {WithChildren(*node, ctx_->NewId(), {child.node}),
                     {Property::Kind::kSingle, {}, 0}};
           }
           return {SplitAggregate(agg, child.node, ctx_),
@@ -239,11 +231,7 @@ class ExchangePlanner {
             }
             prop.keys = std::move(out_keys);
           }
-          return {std::make_shared<AggregateNode>(
-                      ctx_->NewId(), AggregationStep::kSingle,
-                      agg.group_keys(), agg.aggregates(), agg.output(),
-                      child.node),
-                  prop};
+          return {WithChildren(*node, ctx_->NewId(), {child.node}), prop};
         }
         PlanNodePtr split = SplitAggregate(agg, child.node, ctx_);
         Property prop;
@@ -326,14 +314,12 @@ class ExchangePlanner {
                 prop};
       }
       case PlanNodeKind::kSort: {
-        const auto& sort = static_cast<const SortNode&>(*node);
         WithProperty child = Add(node->child());
         PlanNodePtr input = child.node;
         if (child.property.kind != Property::Kind::kSingle) {
           input = MakeRemote(ExchangeKind::kGather, {}, input, ctx_);
         }
-        return {std::make_shared<SortNode>(ctx_->NewId(), sort.keys(),
-                                           std::move(input)),
+        return {WithChildren(*node, ctx_->NewId(), {std::move(input)}),
                 {Property::Kind::kSingle, {}, 0}};
       }
       case PlanNodeKind::kTopN: {
@@ -398,11 +384,7 @@ class ExchangePlanner {
             prop = child.property;
           }
         }
-        return {std::make_shared<WindowNode>(
-                    ctx_->NewId(), window.partition_keys(),
-                    window.order_keys(), window.functions(), window.output(),
-                    std::move(input)),
-                prop};
+        return {WithChildren(*node, ctx_->NewId(), {std::move(input)}), prop};
       }
       case PlanNodeKind::kUnionAll: {
         // Each branch is gathered into a single-task union stage.
@@ -415,33 +397,25 @@ class ExchangePlanner {
           }
           children.push_back(std::move(input));
         }
-        return {std::make_shared<UnionAllNode>(ctx_->NewId(), node->output(),
-                                               std::move(children)),
+        return {WithChildren(*node, ctx_->NewId(), std::move(children)),
                 {Property::Kind::kSingle, {}, 0}};
       }
       case PlanNodeKind::kTableWrite: {
-        const auto& write = static_cast<const TableWriteNode&>(*node);
         WithProperty child = Add(node->child());
         // Writers live in their own scalable stage behind a round-robin
         // exchange so the engine can adapt writer parallelism (§IV-E3).
         PlanNodePtr input =
             MakeRemote(ExchangeKind::kRoundRobin, {}, child.node, ctx_);
-        return {std::make_shared<TableWriteNode>(ctx_->NewId(),
-                                                 write.connector(),
-                                                 write.table(), write.output(),
-                                                 std::move(input)),
+        return {WithChildren(*node, ctx_->NewId(), {std::move(input)}),
                 {Property::Kind::kArbitrary, {}, 0}};
       }
       case PlanNodeKind::kOutput: {
-        const auto& output = static_cast<const OutputNode&>(*node);
         WithProperty child = Add(node->child());
         PlanNodePtr input = child.node;
         if (child.property.kind != Property::Kind::kSingle) {
           input = MakeRemote(ExchangeKind::kGather, {}, input, ctx_);
         }
-        return {std::make_shared<OutputNode>(ctx_->NewId(),
-                                             output.column_names(),
-                                             std::move(input)),
+        return {WithChildren(*node, ctx_->NewId(), {std::move(input)}),
                 {Property::Kind::kSingle, {}, 0}};
       }
       default:
@@ -523,84 +497,13 @@ class Splitter {
       if (!scan.layout_id().empty()) *has_colocated_scan = true;
       return node;
     }
-    std::vector<PlanNodePtr> children;
-    bool changed = false;
-    for (const auto& c : node->children()) {
-      auto nc = Strip(c, fragment_id, has_scan, has_colocated_scan,
-                      has_partitioned_input);
-      changed = changed || nc != c;
-      children.push_back(std::move(nc));
-    }
-    if (!changed) return node;
-    return RebuildWithChildren(node, std::move(children));
-  }
-
-  PlanNodePtr RebuildWithChildren(const PlanNodePtr& node,
-                                  std::vector<PlanNodePtr> children) {
-    switch (node->kind()) {
-      case PlanNodeKind::kFilter: {
-        const auto& f = static_cast<const FilterNode&>(*node);
-        return std::make_shared<FilterNode>(ctx_->NewId(), f.predicate(),
-                                            children[0]);
-      }
-      case PlanNodeKind::kProject: {
-        const auto& p = static_cast<const ProjectNode&>(*node);
-        return std::make_shared<ProjectNode>(ctx_->NewId(), p.expressions(),
-                                             p.output(), children[0]);
-      }
-      case PlanNodeKind::kAggregate: {
-        const auto& a = static_cast<const AggregateNode&>(*node);
-        return std::make_shared<AggregateNode>(ctx_->NewId(), a.step(),
-                                               a.group_keys(),
-                                               a.aggregates(), a.output(),
-                                               children[0]);
-      }
-      case PlanNodeKind::kJoin: {
-        const auto& j = static_cast<const JoinNode&>(*node);
-        return std::make_shared<JoinNode>(
-            ctx_->NewId(), j.join_type(), j.left_keys(), j.right_keys(),
-            j.residual_filter(), j.distribution(), j.output(), children[0],
-            children[1]);
-      }
-      case PlanNodeKind::kSort: {
-        const auto& s = static_cast<const SortNode&>(*node);
-        return std::make_shared<SortNode>(ctx_->NewId(), s.keys(),
-                                          children[0]);
-      }
-      case PlanNodeKind::kTopN: {
-        const auto& t = static_cast<const TopNNode&>(*node);
-        return std::make_shared<TopNNode>(ctx_->NewId(), t.keys(), t.n(),
-                                          t.partial(), children[0]);
-      }
-      case PlanNodeKind::kLimit: {
-        const auto& l = static_cast<const LimitNode&>(*node);
-        return std::make_shared<LimitNode>(ctx_->NewId(), l.n(), l.partial(),
-                                           children[0]);
-      }
-      case PlanNodeKind::kWindow: {
-        const auto& w = static_cast<const WindowNode&>(*node);
-        return std::make_shared<WindowNode>(ctx_->NewId(),
-                                            w.partition_keys(),
-                                            w.order_keys(), w.functions(),
-                                            w.output(), children[0]);
-      }
-      case PlanNodeKind::kUnionAll:
-        return std::make_shared<UnionAllNode>(ctx_->NewId(), node->output(),
-                                              std::move(children));
-      case PlanNodeKind::kOutput: {
-        const auto& o = static_cast<const OutputNode&>(*node);
-        return std::make_shared<OutputNode>(ctx_->NewId(), o.column_names(),
-                                            children[0]);
-      }
-      case PlanNodeKind::kTableWrite: {
-        const auto& tw = static_cast<const TableWriteNode&>(*node);
-        return std::make_shared<TableWriteNode>(ctx_->NewId(),
-                                                tw.connector(), tw.table(),
-                                                tw.output(), children[0]);
-      }
-      default:
-        PRESTO_CHECK(false);
-    }
+    return MapChildren(
+        node,
+        [&](const PlanNodePtr& c) {
+          return Strip(c, fragment_id, has_scan, has_colocated_scan,
+                       has_partitioned_input);
+        },
+        [this] { return ctx_->NewId(); });
   }
 
   // Records, per fragment, the producers of hash-join build sides so the

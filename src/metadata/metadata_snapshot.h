@@ -22,7 +22,7 @@ namespace presto {
 /// against.
 ///
 /// With a MetadataCache attached, resolution goes through it; without one
-/// (the compatibility constructors on Planner/Optimizer) the snapshot
+/// (as Planner's compatibility constructor and tests build it) the snapshot
 /// fetches directly but still memoizes and records dependencies.
 ///
 /// Not thread-safe: one snapshot serves one planning session on one

@@ -5,7 +5,6 @@
 #include "common/check.h"
 #include "expr/evaluator.h"
 #include "expr/function_registry.h"
-#include "metadata/metadata_snapshot.h"
 #include "optimizer/stats_estimator.h"
 
 namespace presto {
@@ -14,13 +13,22 @@ namespace {
 
 using Conjuncts = std::vector<ExprPtr>;
 
+// Build sides estimated below this size are broadcast (§IV-C join strategy
+// selection).
+constexpr double kBroadcastThresholdBytes = 8.0 * 1024 * 1024;
+
 // Monotonically increasing node-id source for nodes the optimizer creates.
 struct Ctx {
-  const Catalog* catalog;
   const OptimizerOptions* options;
   MetadataResolver* resolver;
   int next_id = 100000;
   int NewId() { return next_id++; }
+
+  // Rewrites each child with `fn`; rebuilds `node` only if one changed.
+  template <typename Fn>
+  PlanNodePtr Map(const PlanNodePtr& node, Fn&& fn) {
+    return MapChildren(node, fn, [this] { return NewId(); });
+  }
 };
 
 void SplitConjuncts(const ExprPtr& expr, Conjuncts* out) {
@@ -143,52 +151,7 @@ PlanNodePtr FoldConstantsInPlan(const PlanNodePtr& node, Ctx* ctx) {
       break;
   }
   if (children == node->children()) return node;
-  // Rebuild pass-through nodes with the new children.
-  switch (node->kind()) {
-    case PlanNodeKind::kAggregate: {
-      const auto& agg = static_cast<const AggregateNode&>(*node);
-      return std::make_shared<AggregateNode>(
-          ctx->NewId(), agg.step(), agg.group_keys(), agg.aggregates(),
-          agg.output(), children[0]);
-    }
-    case PlanNodeKind::kSort: {
-      const auto& sort = static_cast<const SortNode&>(*node);
-      return std::make_shared<SortNode>(ctx->NewId(), sort.keys(),
-                                        children[0]);
-    }
-    case PlanNodeKind::kTopN: {
-      const auto& topn = static_cast<const TopNNode&>(*node);
-      return std::make_shared<TopNNode>(ctx->NewId(), topn.keys(), topn.n(),
-                                        topn.partial(), children[0]);
-    }
-    case PlanNodeKind::kLimit: {
-      const auto& limit = static_cast<const LimitNode&>(*node);
-      return std::make_shared<LimitNode>(ctx->NewId(), limit.n(),
-                                         limit.partial(), children[0]);
-    }
-    case PlanNodeKind::kWindow: {
-      const auto& w = static_cast<const WindowNode&>(*node);
-      return std::make_shared<WindowNode>(ctx->NewId(), w.partition_keys(),
-                                          w.order_keys(), w.functions(),
-                                          w.output(), children[0]);
-    }
-    case PlanNodeKind::kUnionAll:
-      return std::make_shared<UnionAllNode>(ctx->NewId(), node->output(),
-                                            std::move(children));
-    case PlanNodeKind::kOutput: {
-      const auto& out = static_cast<const OutputNode&>(*node);
-      return std::make_shared<OutputNode>(ctx->NewId(), out.column_names(),
-                                          children[0]);
-    }
-    case PlanNodeKind::kTableWrite: {
-      const auto& tw = static_cast<const TableWriteNode&>(*node);
-      return std::make_shared<TableWriteNode>(ctx->NewId(), tw.connector(),
-                                              tw.table(), tw.output(),
-                                              children[0]);
-    }
-    default:
-      return node;
-  }
+  return WithChildren(*node, ctx->NewId(), std::move(children));
 }
 
 // ---------------------------------------------------------------------------
@@ -275,10 +238,8 @@ PlanNodePtr PushFilters(const PlanNodePtr& node, Conjuncts incoming,
         pushed.push_back(
             ReplaceColumnsWithExprs(conj, project.expressions()));
       }
-      PlanNodePtr child = PushFilters(node->child(), std::move(pushed), ctx);
-      return std::make_shared<ProjectNode>(ctx->NewId(),
-                                           project.expressions(),
-                                           project.output(), std::move(child));
+      return WithChildren(*node, ctx->NewId(),
+                          {PushFilters(node->child(), std::move(pushed), ctx)});
     }
     case PlanNodeKind::kJoin: {
       const auto& join = static_cast<const JoinNode&>(*node);
@@ -310,10 +271,8 @@ PlanNodePtr PushFilters(const PlanNodePtr& node, Conjuncts incoming,
           PushFilters(join.child(0), std::move(left_conjuncts), ctx);
       PlanNodePtr right =
           PushFilters(join.child(1), std::move(right_conjuncts), ctx);
-      PlanNodePtr rebuilt = std::make_shared<JoinNode>(
-          ctx->NewId(), join.join_type(), join.left_keys(), join.right_keys(),
-          join.residual_filter(), join.distribution(), join.output(),
-          std::move(left), std::move(right));
+      PlanNodePtr rebuilt =
+          WithChildren(*node, ctx->NewId(), {std::move(left), std::move(right)});
       return ApplyFilter(std::move(rebuilt), std::move(remaining), ctx);
     }
     case PlanNodeKind::kAggregate: {
@@ -334,27 +293,16 @@ PlanNodePtr PushFilters(const PlanNodePtr& node, Conjuncts incoming,
           remaining.push_back(std::move(conj));
         }
       }
-      PlanNodePtr child =
-          PushFilters(node->child(), std::move(pushable), ctx);
-      PlanNodePtr rebuilt = std::make_shared<AggregateNode>(
-          ctx->NewId(), agg.step(), agg.group_keys(), agg.aggregates(),
-          agg.output(), std::move(child));
+      PlanNodePtr rebuilt = WithChildren(
+          *node, ctx->NewId(),
+          {PushFilters(node->child(), std::move(pushable), ctx)});
       return ApplyFilter(std::move(rebuilt), std::move(remaining), ctx);
     }
-    case PlanNodeKind::kUnionAll: {
-      std::vector<PlanNodePtr> children;
-      for (const auto& c : node->children()) {
-        children.push_back(PushFilters(c, incoming, ctx));
-      }
-      return std::make_shared<UnionAllNode>(ctx->NewId(), node->output(),
-                                            std::move(children));
-    }
-    case PlanNodeKind::kSort: {
-      const auto& sort = static_cast<const SortNode&>(*node);
-      PlanNodePtr child = PushFilters(node->child(), std::move(incoming), ctx);
-      return std::make_shared<SortNode>(ctx->NewId(), sort.keys(),
-                                        std::move(child));
-    }
+    case PlanNodeKind::kUnionAll:
+    case PlanNodeKind::kSort:
+      return ctx->Map(node, [&](const PlanNodePtr& c) {
+        return PushFilters(c, incoming, ctx);
+      });
     case PlanNodeKind::kTableScan: {
       const auto& scan = static_cast<const TableScanNode&>(*node);
       std::vector<ColumnPredicate> pushed = scan.predicates();
@@ -377,55 +325,14 @@ PlanNodePtr PushFilters(const PlanNodePtr& node, Conjuncts incoming,
           scan.output(), std::move(pushed), scan.layout_id(), scan.stats());
       return ApplyFilter(std::move(rebuilt), std::move(remaining), ctx);
     }
-    default: {
+    default:
       // Limit/TopN/Window/Values/Output/TableWrite: keep the filter above,
       // but continue pushing inside.
-      std::vector<PlanNodePtr> children;
-      for (const auto& c : node->children()) {
-        children.push_back(PushFilters(c, {}, ctx));
-      }
-      PlanNodePtr rebuilt = node;
-      if (children != node->children()) {
-        switch (node->kind()) {
-          case PlanNodeKind::kLimit: {
-            const auto& limit = static_cast<const LimitNode&>(*node);
-            rebuilt = std::make_shared<LimitNode>(
-                ctx->NewId(), limit.n(), limit.partial(), children[0]);
-            break;
-          }
-          case PlanNodeKind::kTopN: {
-            const auto& topn = static_cast<const TopNNode&>(*node);
-            rebuilt = std::make_shared<TopNNode>(ctx->NewId(), topn.keys(),
-                                                 topn.n(), topn.partial(),
-                                                 children[0]);
-            break;
-          }
-          case PlanNodeKind::kWindow: {
-            const auto& w = static_cast<const WindowNode&>(*node);
-            rebuilt = std::make_shared<WindowNode>(
-                ctx->NewId(), w.partition_keys(), w.order_keys(),
-                w.functions(), w.output(), children[0]);
-            break;
-          }
-          case PlanNodeKind::kOutput: {
-            const auto& out = static_cast<const OutputNode&>(*node);
-            rebuilt = std::make_shared<OutputNode>(
-                ctx->NewId(), out.column_names(), children[0]);
-            break;
-          }
-          case PlanNodeKind::kTableWrite: {
-            const auto& tw = static_cast<const TableWriteNode&>(*node);
-            rebuilt = std::make_shared<TableWriteNode>(
-                ctx->NewId(), tw.connector(), tw.table(), tw.output(),
-                children[0]);
-            break;
-          }
-          default:
-            break;
-        }
-      }
-      return ApplyFilter(std::move(rebuilt), std::move(incoming), ctx);
-    }
+      return ApplyFilter(ctx->Map(node,
+                                  [ctx](const PlanNodePtr& c) {
+                                    return PushFilters(c, {}, ctx);
+                                  }),
+                         std::move(incoming), ctx);
   }
 }
 
@@ -661,46 +568,18 @@ Pruned PruneColumns(const PlanNodePtr& node, const std::vector<bool>& required,
       return {std::move(pruned), child.mapping};
     }
     case PlanNodeKind::kLimit: {
-      const auto& limit = static_cast<const LimitNode&>(*node);
       Pruned child = PruneColumns(node->child(), required, ctx);
-      auto pruned = std::make_shared<LimitNode>(
-          ctx->NewId(), limit.n(), limit.partial(), std::move(child.node));
-      return {std::move(pruned), child.mapping};
-    }
-    case PlanNodeKind::kOutput: {
-      const auto& out = static_cast<const OutputNode&>(*node);
-      Pruned child = PruneAll(node->child(), ctx);
-      auto pruned = std::make_shared<OutputNode>(
-          ctx->NewId(), out.column_names(), std::move(child.node));
-      return {std::move(pruned), IdentityMapping(required.size())};
-    }
-    case PlanNodeKind::kTableWrite: {
-      const auto& tw = static_cast<const TableWriteNode&>(*node);
-      Pruned child = PruneAll(node->child(), ctx);
-      auto pruned = std::make_shared<TableWriteNode>(
-          ctx->NewId(), tw.connector(), tw.table(), tw.output(),
-          std::move(child.node));
-      return {std::move(pruned), IdentityMapping(required.size())};
-    }
-    case PlanNodeKind::kWindow: {
-      const auto& w = static_cast<const WindowNode&>(*node);
-      Pruned child = PruneAll(node->child(), ctx);
-      auto pruned = std::make_shared<WindowNode>(
-          ctx->NewId(), w.partition_keys(), w.order_keys(), w.functions(),
-          w.output(), std::move(child.node));
-      return {std::move(pruned), IdentityMapping(required.size())};
-    }
-    case PlanNodeKind::kUnionAll: {
-      std::vector<PlanNodePtr> children;
-      for (const auto& c : node->children()) {
-        children.push_back(PruneAll(c, ctx).node);
-      }
-      auto pruned = std::make_shared<UnionAllNode>(
-          ctx->NewId(), node->output(), std::move(children));
-      return {std::move(pruned), IdentityMapping(required.size())};
+      return {WithChildren(*node, ctx->NewId(), {std::move(child.node)}),
+              std::move(child.mapping)};
     }
     default:
-      return {node, IdentityMapping(required.size())};
+      // Output, TableWrite, Window and UnionAll keep every column and need
+      // every input column; leaves are kept as they are.
+      return {ctx->Map(node,
+                       [ctx](const PlanNodePtr& c) {
+                         return PruneAll(c, ctx).node;
+                       }),
+              IdentityMapping(required.size())};
   }
 }
 
@@ -709,88 +588,22 @@ Pruned PruneColumns(const PlanNodePtr& node, const std::vector<bool>& required,
 // ---------------------------------------------------------------------------
 
 PlanNodePtr RemoveIdentityProjects(const PlanNodePtr& node, Ctx* ctx) {
-  std::vector<PlanNodePtr> children;
-  children.reserve(node->children().size());
-  for (const auto& c : node->children()) {
-    children.push_back(RemoveIdentityProjects(c, ctx));
+  PlanNodePtr rebuilt = ctx->Map(node, [ctx](const PlanNodePtr& c) {
+    return RemoveIdentityProjects(c, ctx);
+  });
+  if (rebuilt->kind() != PlanNodeKind::kProject) return rebuilt;
+  const auto& project = static_cast<const ProjectNode&>(*rebuilt);
+  if (project.expressions().size() != rebuilt->child()->output().size()) {
+    return rebuilt;
   }
-  if (node->kind() == PlanNodeKind::kProject) {
-    const auto& project = static_cast<const ProjectNode&>(*node);
-    const PlanNodePtr& child = children[0];
-    if (project.expressions().size() == child->output().size()) {
-      bool identity = true;
-      for (size_t i = 0; i < project.expressions().size(); ++i) {
-        const auto& e = project.expressions()[i];
-        if (e->kind() != ExprKind::kColumnRef ||
-            e->column() != static_cast<int>(i)) {
-          identity = false;
-          break;
-        }
-      }
-      if (identity) return child;
+  for (size_t i = 0; i < project.expressions().size(); ++i) {
+    const auto& e = project.expressions()[i];
+    if (e->kind() != ExprKind::kColumnRef ||
+        e->column() != static_cast<int>(i)) {
+      return rebuilt;
     }
-    return std::make_shared<ProjectNode>(ctx->NewId(), project.expressions(),
-                                         project.output(), children[0]);
   }
-  if (children == node->children()) return node;
-  // Rebuild with new children via the constant-folding rebuilder (reuses the
-  // same switch; predicates/exprs unchanged).
-  switch (node->kind()) {
-    case PlanNodeKind::kFilter: {
-      const auto& f = static_cast<const FilterNode&>(*node);
-      return std::make_shared<FilterNode>(ctx->NewId(), f.predicate(),
-                                          children[0]);
-    }
-    case PlanNodeKind::kJoin: {
-      const auto& j = static_cast<const JoinNode&>(*node);
-      return std::make_shared<JoinNode>(
-          ctx->NewId(), j.join_type(), j.left_keys(), j.right_keys(),
-          j.residual_filter(), j.distribution(), j.output(), children[0],
-          children[1]);
-    }
-    case PlanNodeKind::kAggregate: {
-      const auto& a = static_cast<const AggregateNode&>(*node);
-      return std::make_shared<AggregateNode>(ctx->NewId(), a.step(),
-                                             a.group_keys(), a.aggregates(),
-                                             a.output(), children[0]);
-    }
-    case PlanNodeKind::kSort: {
-      const auto& s = static_cast<const SortNode&>(*node);
-      return std::make_shared<SortNode>(ctx->NewId(), s.keys(), children[0]);
-    }
-    case PlanNodeKind::kTopN: {
-      const auto& t = static_cast<const TopNNode&>(*node);
-      return std::make_shared<TopNNode>(ctx->NewId(), t.keys(), t.n(),
-                                        t.partial(), children[0]);
-    }
-    case PlanNodeKind::kLimit: {
-      const auto& l = static_cast<const LimitNode&>(*node);
-      return std::make_shared<LimitNode>(ctx->NewId(), l.n(), l.partial(),
-                                         children[0]);
-    }
-    case PlanNodeKind::kWindow: {
-      const auto& w = static_cast<const WindowNode&>(*node);
-      return std::make_shared<WindowNode>(ctx->NewId(), w.partition_keys(),
-                                          w.order_keys(), w.functions(),
-                                          w.output(), children[0]);
-    }
-    case PlanNodeKind::kUnionAll:
-      return std::make_shared<UnionAllNode>(ctx->NewId(), node->output(),
-                                            std::move(children));
-    case PlanNodeKind::kOutput: {
-      const auto& o = static_cast<const OutputNode&>(*node);
-      return std::make_shared<OutputNode>(ctx->NewId(), o.column_names(),
-                                          children[0]);
-    }
-    case PlanNodeKind::kTableWrite: {
-      const auto& tw = static_cast<const TableWriteNode&>(*node);
-      return std::make_shared<TableWriteNode>(ctx->NewId(), tw.connector(),
-                                              tw.table(), tw.output(),
-                                              children[0]);
-    }
-    default:
-      return node;
-  }
+  return rebuilt->child();
 }
 
 // ---------------------------------------------------------------------------
@@ -830,28 +643,14 @@ std::optional<ScanTrace> TraceToScan(const PlanNode& node, int column) {
 // accepted.
 PlanNodePtr WithLayout(const PlanNodePtr& node, const std::string& layout_id,
                        Ctx* ctx) {
-  switch (node->kind()) {
-    case PlanNodeKind::kTableScan: {
-      const auto& scan = static_cast<const TableScanNode&>(*node);
-      return std::make_shared<TableScanNode>(
-          ctx->NewId(), scan.connector(), scan.table(), scan.columns(),
-          scan.output(), scan.predicates(), layout_id, scan.stats());
-    }
-    case PlanNodeKind::kFilter: {
-      const auto& f = static_cast<const FilterNode&>(*node);
-      return std::make_shared<FilterNode>(
-          ctx->NewId(), f.predicate(), WithLayout(node->child(), layout_id,
-                                                  ctx));
-    }
-    case PlanNodeKind::kProject: {
-      const auto& p = static_cast<const ProjectNode&>(*node);
-      return std::make_shared<ProjectNode>(
-          ctx->NewId(), p.expressions(), p.output(),
-          WithLayout(node->child(), layout_id, ctx));
-    }
-    default:
-      PRESTO_UNREACHABLE();
+  if (node->kind() != PlanNodeKind::kTableScan) {
+    return WithChildren(*node, ctx->NewId(),
+                        {WithLayout(node->child(), layout_id, ctx)});
   }
+  const auto& scan = static_cast<const TableScanNode&>(*node);
+  return std::make_shared<TableScanNode>(
+      ctx->NewId(), scan.connector(), scan.table(), scan.columns(),
+      scan.output(), scan.predicates(), layout_id, scan.stats());
 }
 
 // Checks whether both join inputs are bucketed identically on the join keys
@@ -1140,7 +939,7 @@ PlanNodePtr FinalizeJoin(const JoinNode& join, PlanNodePtr left,
     bool broadcast_safe = join.join_type() != sql::JoinType::kRight &&
                           join.join_type() != sql::JoinType::kFull;
     if (ctx->options->enable_cbo && build.known() && broadcast_safe &&
-        build.OutputBytes() < ctx->options->broadcast_threshold_bytes) {
+        build.OutputBytes() < kBroadcastThresholdBytes) {
       dist = JoinDistribution::kBroadcast;
     } else {
       dist = JoinDistribution::kPartitioned;
@@ -1165,131 +964,53 @@ PlanNodePtr ApplyCbo(const PlanNodePtr& node, Ctx* ctx) {
         for (auto& rel : chain.relations) rel = ApplyCbo(rel, ctx);
         PlanNodePtr reordered = ReorderChain(chain, ctx);
         if (reordered != nullptr) {
-          // Distribution selection for the new joins.
+          // Distribution selection for the joins ReorderChain built, the
+          // only unset ones; `reordered` may be a Project/Filter over them.
           std::function<PlanNodePtr(const PlanNodePtr&)> finalize =
               [&](const PlanNodePtr& n) -> PlanNodePtr {
-            if (n->kind() != PlanNodeKind::kJoin) return n;
-            const auto& j = static_cast<const JoinNode&>(*n);
-            PlanNodePtr l = finalize(j.child(0));
-            PlanNodePtr r = finalize(j.child(1));
-            if (j.distribution() != JoinDistribution::kUnset) {
-              return std::make_shared<JoinNode>(
-                  ctx->NewId(), j.join_type(), j.left_keys(), j.right_keys(),
-                  j.residual_filter(), j.distribution(), j.output(), l, r);
+            if (n->kind() == PlanNodeKind::kJoin &&
+                static_cast<const JoinNode&>(*n).distribution() ==
+                    JoinDistribution::kUnset) {
+              PlanNodePtr l = finalize(n->child(0));
+              PlanNodePtr r = finalize(n->child(1));
+              return FinalizeJoin(static_cast<const JoinNode&>(*n),
+                                  std::move(l), std::move(r), ctx);
             }
-            return FinalizeJoin(j, std::move(l), std::move(r), ctx);
-          };
-          // `reordered` may be a Project/Filter over the join tree.
-          std::function<PlanNodePtr(const PlanNodePtr&)> walk =
-              [&](const PlanNodePtr& n) -> PlanNodePtr {
-            if (n->kind() == PlanNodeKind::kJoin) return finalize(n);
-            if (n->kind() == PlanNodeKind::kFilter) {
-              const auto& f = static_cast<const FilterNode&>(*n);
-              return std::make_shared<FilterNode>(ctx->NewId(), f.predicate(),
-                                                  walk(n->child()));
-            }
-            if (n->kind() == PlanNodeKind::kProject) {
-              const auto& p = static_cast<const ProjectNode&>(*n);
-              return std::make_shared<ProjectNode>(
-                  ctx->NewId(), p.expressions(), p.output(), walk(n->child()));
+            if (n->kind() == PlanNodeKind::kJoin ||
+                n->kind() == PlanNodeKind::kFilter ||
+                n->kind() == PlanNodeKind::kProject) {
+              return ctx->Map(n, finalize);
             }
             return n;
           };
-          return walk(reordered);
+          return finalize(reordered);
         }
       }
     }
   }
   // Default: recurse and finalize joins bottom-up.
-  std::vector<PlanNodePtr> children;
-  for (const auto& c : node->children()) children.push_back(ApplyCbo(c, ctx));
   if (node->kind() == PlanNodeKind::kJoin) {
-    const auto& join = static_cast<const JoinNode&>(*node);
-    return FinalizeJoin(join, children[0], children[1], ctx);
+    PlanNodePtr left = ApplyCbo(node->child(0), ctx);
+    PlanNodePtr right = ApplyCbo(node->child(1), ctx);
+    return FinalizeJoin(static_cast<const JoinNode&>(*node), std::move(left),
+                        std::move(right), ctx);
   }
-  if (children == node->children()) return node;
-  switch (node->kind()) {
-    case PlanNodeKind::kFilter: {
-      const auto& f = static_cast<const FilterNode&>(*node);
-      return std::make_shared<FilterNode>(ctx->NewId(), f.predicate(),
-                                          children[0]);
-    }
-    case PlanNodeKind::kProject: {
-      const auto& p = static_cast<const ProjectNode&>(*node);
-      return std::make_shared<ProjectNode>(ctx->NewId(), p.expressions(),
-                                           p.output(), children[0]);
-    }
-    case PlanNodeKind::kAggregate: {
-      const auto& a = static_cast<const AggregateNode&>(*node);
-      return std::make_shared<AggregateNode>(ctx->NewId(), a.step(),
-                                             a.group_keys(), a.aggregates(),
-                                             a.output(), children[0]);
-    }
-    case PlanNodeKind::kSort: {
-      const auto& s = static_cast<const SortNode&>(*node);
-      return std::make_shared<SortNode>(ctx->NewId(), s.keys(), children[0]);
-    }
-    case PlanNodeKind::kTopN: {
-      const auto& t = static_cast<const TopNNode&>(*node);
-      return std::make_shared<TopNNode>(ctx->NewId(), t.keys(), t.n(),
-                                        t.partial(), children[0]);
-    }
-    case PlanNodeKind::kLimit: {
-      const auto& l = static_cast<const LimitNode&>(*node);
-      return std::make_shared<LimitNode>(ctx->NewId(), l.n(), l.partial(),
-                                         children[0]);
-    }
-    case PlanNodeKind::kWindow: {
-      const auto& w = static_cast<const WindowNode&>(*node);
-      return std::make_shared<WindowNode>(ctx->NewId(), w.partition_keys(),
-                                          w.order_keys(), w.functions(),
-                                          w.output(), children[0]);
-    }
-    case PlanNodeKind::kUnionAll:
-      return std::make_shared<UnionAllNode>(ctx->NewId(), node->output(),
-                                            std::move(children));
-    case PlanNodeKind::kOutput: {
-      const auto& o = static_cast<const OutputNode&>(*node);
-      return std::make_shared<OutputNode>(ctx->NewId(), o.column_names(),
-                                          children[0]);
-    }
-    case PlanNodeKind::kTableWrite: {
-      const auto& tw = static_cast<const TableWriteNode&>(*node);
-      return std::make_shared<TableWriteNode>(ctx->NewId(), tw.connector(),
-                                              tw.table(), tw.output(),
-                                              children[0]);
-    }
-    default:
-      return node;
-  }
+  return ctx->Map(node,
+                  [ctx](const PlanNodePtr& c) { return ApplyCbo(c, ctx); });
 }
 
 }  // namespace
 
-Optimizer::Optimizer(const Catalog* catalog, OptimizerOptions options)
-    : catalog_(catalog),
-      options_(options),
-      owned_snapshot_(std::make_unique<MetadataSnapshot>(catalog)),
-      resolver_(owned_snapshot_.get()) {}
-
 Optimizer::Optimizer(MetadataResolver* resolver, OptimizerOptions options)
-    : catalog_(resolver->catalog()), options_(options), resolver_(resolver) {}
-
-Optimizer::~Optimizer() = default;
+    : options_(options), resolver_(resolver) {}
 
 Result<PlanNodePtr> Optimizer::Optimize(PlanNodePtr plan) {
-  Ctx ctx{catalog_, &options_, resolver_, 100000};
-  if (options_.enable_constant_folding) {
-    plan = FoldConstantsInPlan(plan, &ctx);
-  }
-  if (options_.enable_predicate_pushdown) {
-    plan = PushFilters(plan, {}, &ctx);
-  }
-  if (options_.enable_column_pruning) {
-    plan = PruneColumns(plan,
-                        std::vector<bool>(plan->output().size(), true), &ctx)
-               .node;
-  }
+  Ctx ctx{&options_, resolver_};
+  plan = FoldConstantsInPlan(plan, &ctx);
+  plan = PushFilters(plan, {}, &ctx);
+  plan = PruneColumns(plan, std::vector<bool>(plan->output().size(), true),
+                      &ctx)
+             .node;
   plan = RemoveIdentityProjects(plan, &ctx);
   plan = ApplyCbo(plan, &ctx);
   plan = RemoveIdentityProjects(plan, &ctx);

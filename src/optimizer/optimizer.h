@@ -1,54 +1,40 @@
 #ifndef PRESTOCPP_OPTIMIZER_OPTIMIZER_H_
 #define PRESTOCPP_OPTIMIZER_OPTIMIZER_H_
 
-#include <memory>
-
 #include "common/status.h"
-#include "connector/connector.h"
 #include "metadata/metadata_resolver.h"
 #include "plan/plan_node.h"
 
 namespace presto {
 
-class MetadataSnapshot;
-
-/// Optimizer configuration. The Fig. 6 experiment toggles `enable_cbo` to
-/// contrast the "no stats" and "table/column stats" configurations.
+/// Optimizer configuration.
 struct OptimizerOptions {
-  bool enable_constant_folding = true;
-  bool enable_predicate_pushdown = true;
-  bool enable_column_pruning = true;
-  bool enable_cbo = true;  // join re-ordering + join strategy selection
-  /// Build sides estimated below this size are broadcast (§IV-C join
-  /// strategy selection).
-  double broadcast_threshold_bytes = 8.0 * 1024 * 1024;
+  /// Join re-ordering and statistics-driven broadcast selection (§IV-C).
+  /// Without it every join the connectors cannot co-locate is partitioned.
+  bool enable_cbo = true;
 };
 
-/// Rule-based plan optimizer (§IV-C): evaluates transformation passes
-/// greedily until a fixed point. Implements predicate pushdown (including
-/// into connectors via the pushdown API), column pruning, constant folding,
-/// identity-project removal, and the paper's two cost-based optimizations:
-/// join re-ordering and join strategy (broadcast/partitioned/co-located)
-/// selection driven by connector statistics.
+/// Rule-based plan optimizer (§IV-C). Optimize() runs a fixed list of
+/// passes, each once, in this order: constant folding, predicate pushdown
+/// (including into connectors via the pushdown API), column pruning,
+/// identity-project removal, the cost-based pass, and identity-project
+/// removal again. The cost-based pass makes the paper's two decisions from
+/// connector statistics: join re-ordering and join strategy
+/// (broadcast/partitioned/co-located) selection. A pass constructs only the
+/// node kinds it changes; every other node goes through MapChildren
+/// (plan/plan_node.h), which rebuilds it with WithChildren when a child
+/// changed and keeps it otherwise.
 class Optimizer {
  public:
-  /// Compatibility constructor: reads metadata through an owned, uncached
-  /// per-optimizer MetadataSnapshot over `catalog`.
-  explicit Optimizer(const Catalog* catalog, OptimizerOptions options = {});
-
-  /// Reads all table metadata through `resolver` (ISSUE 8) — typically the
-  /// query's MetadataSnapshot, so the optimizer sees the same versions the
-  /// planner saw and its reads are recorded as plan dependencies.
+  /// Reads all table metadata through `resolver` — typically the query's
+  /// MetadataSnapshot, so the optimizer sees the same versions the planner
+  /// saw and its reads are recorded as plan dependencies.
   explicit Optimizer(MetadataResolver* resolver, OptimizerOptions options = {});
-
-  ~Optimizer();
 
   Result<PlanNodePtr> Optimize(PlanNodePtr plan);
 
  private:
-  const Catalog* catalog_;
   OptimizerOptions options_;
-  std::unique_ptr<MetadataSnapshot> owned_snapshot_;  // compat ctor only
   MetadataResolver* resolver_;
 };
 

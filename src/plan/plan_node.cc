@@ -1,5 +1,6 @@
 #include "plan/plan_node.h"
 
+#include "common/check.h"
 #include "common/string_utils.h"
 
 namespace presto {
@@ -60,6 +61,82 @@ std::string PlanToString(const PlanNode& root,
   std::string out;
   PrintTree(root, 0, annotator, &out);
   return out;
+}
+
+PlanNodePtr WithChildren(const PlanNode& node, int new_id,
+                         std::vector<PlanNodePtr> children) {
+  PRESTO_CHECK(children.size() == node.children().size());
+  switch (node.kind()) {
+    case PlanNodeKind::kFilter: {
+      const auto& f = static_cast<const FilterNode&>(node);
+      return std::make_shared<FilterNode>(new_id, f.predicate(),
+                                          std::move(children[0]));
+    }
+    case PlanNodeKind::kProject: {
+      const auto& p = static_cast<const ProjectNode&>(node);
+      return std::make_shared<ProjectNode>(new_id, p.expressions(), p.output(),
+                                           std::move(children[0]));
+    }
+    case PlanNodeKind::kAggregate: {
+      const auto& a = static_cast<const AggregateNode&>(node);
+      return std::make_shared<AggregateNode>(new_id, a.step(), a.group_keys(),
+                                             a.aggregates(), a.output(),
+                                             std::move(children[0]));
+    }
+    case PlanNodeKind::kJoin: {
+      const auto& j = static_cast<const JoinNode&>(node);
+      return std::make_shared<JoinNode>(
+          new_id, j.join_type(), j.left_keys(), j.right_keys(),
+          j.residual_filter(), j.distribution(), j.output(),
+          std::move(children[0]), std::move(children[1]));
+    }
+    case PlanNodeKind::kSort: {
+      const auto& s = static_cast<const SortNode&>(node);
+      return std::make_shared<SortNode>(new_id, s.keys(),
+                                        std::move(children[0]));
+    }
+    case PlanNodeKind::kTopN: {
+      const auto& t = static_cast<const TopNNode&>(node);
+      return std::make_shared<TopNNode>(new_id, t.keys(), t.n(), t.partial(),
+                                        std::move(children[0]));
+    }
+    case PlanNodeKind::kLimit: {
+      const auto& l = static_cast<const LimitNode&>(node);
+      return std::make_shared<LimitNode>(new_id, l.n(), l.partial(),
+                                         std::move(children[0]));
+    }
+    case PlanNodeKind::kWindow: {
+      const auto& w = static_cast<const WindowNode&>(node);
+      return std::make_shared<WindowNode>(new_id, w.partition_keys(),
+                                          w.order_keys(), w.functions(),
+                                          w.output(), std::move(children[0]));
+    }
+    case PlanNodeKind::kUnionAll:
+      return std::make_shared<UnionAllNode>(new_id, node.output(),
+                                            std::move(children));
+    case PlanNodeKind::kOutput: {
+      const auto& o = static_cast<const OutputNode&>(node);
+      return std::make_shared<OutputNode>(new_id, o.column_names(),
+                                          std::move(children[0]));
+    }
+    case PlanNodeKind::kTableWrite: {
+      const auto& tw = static_cast<const TableWriteNode&>(node);
+      return std::make_shared<TableWriteNode>(new_id, tw.connector(),
+                                              tw.table(), tw.output(),
+                                              std::move(children[0]));
+    }
+    case PlanNodeKind::kExchange: {
+      const auto& e = static_cast<const ExchangeNode&>(node);
+      return std::make_shared<ExchangeNode>(new_id, e.exchange_kind(),
+                                            e.scope(), e.partition_keys(),
+                                            std::move(children[0]));
+    }
+    case PlanNodeKind::kTableScan:
+    case PlanNodeKind::kValues:
+    case PlanNodeKind::kRemoteSource:
+      break;
+  }
+  PRESTO_UNREACHABLE();
 }
 
 std::string TableScanNode::Label() const {

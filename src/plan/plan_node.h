@@ -76,6 +76,28 @@ using PlanAnnotator = std::function<std::string(const PlanNode&)>;
 /// Renders the plan tree with a per-node annotation (EXPLAIN ANALYZE).
 std::string PlanToString(const PlanNode& root, const PlanAnnotator& annotator);
 
+/// Copy of `node` with id `new_id` and `children` in place of its own; every
+/// other attribute is kept. This is the one rebuild every plan rewrite
+/// shares: a pass constructs only the node kinds it changes. `node` must not
+/// be a leaf (TableScan, Values, RemoteSource).
+PlanNodePtr WithChildren(const PlanNode& node, int new_id,
+                         std::vector<PlanNodePtr> children);
+
+/// Rewrites each child of `node` with `fn`. Returns `node` itself when every
+/// child comes back unchanged, else WithChildren(*node, new_id(), ...).
+template <typename Fn, typename NewId>
+PlanNodePtr MapChildren(const PlanNodePtr& node, Fn&& fn, NewId&& new_id) {
+  std::vector<PlanNodePtr> children;
+  children.reserve(node->children().size());
+  bool changed = false;
+  for (const PlanNodePtr& child : node->children()) {
+    children.push_back(fn(child));
+    changed = changed || children.back() != child;
+  }
+  if (!changed) return node;
+  return WithChildren(*node, new_id(), std::move(children));
+}
+
 // ---------------------------------------------------------------------------
 
 class TableScanNode final : public PlanNode {

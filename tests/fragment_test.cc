@@ -3,6 +3,7 @@
 #include "connectors/memcon/memory_connector.h"
 #include "connectors/raptor/raptor_connector.h"
 #include "fragment/fragmenter.h"
+#include "metadata/metadata_snapshot.h"
 #include "optimizer/optimizer.h"
 #include "plan/planner.h"
 #include "sql/parser.h"
@@ -48,7 +49,8 @@ class FragmentTest : public ::testing::Test {
                             sql::ParseStatement(sql));
     Planner planner(&catalog_);
     PRESTO_ASSIGN_OR_RETURN(PlanNodePtr plan, planner.Plan(*stmt));
-    Optimizer optimizer(&catalog_);
+    MetadataSnapshot snapshot(&catalog_);
+    Optimizer optimizer(&snapshot);
     PRESTO_ASSIGN_OR_RETURN(plan, optimizer.Optimize(std::move(plan)));
     Fragmenter fragmenter;
     return fragmenter.Fragment(plan);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "connectors/memcon/memory_connector.h"
+#include "metadata/metadata_snapshot.h"
 #include "optimizer/optimizer.h"
 #include "optimizer/stats_estimator.h"
 #include "plan/plan_node.h"
@@ -83,7 +84,8 @@ class PlanTest : public ::testing::Test {
                                   OptimizerOptions opts = {}) {
     auto plan = PlanSql(sql);
     if (!plan.ok()) return plan.status();
-    Optimizer optimizer(&catalog_, opts);
+    MetadataSnapshot snapshot(&catalog_);
+    Optimizer optimizer(&snapshot, opts);
     return optimizer.Optimize(*plan);
   }
 

@@ -14,6 +14,7 @@
 #include "common/fault_injection.h"
 #include "connectors/tpch/tpch_connector.h"
 #include "fragment/fragmenter.h"
+#include "metadata/metadata_snapshot.h"
 #include "optimizer/optimizer.h"
 #include "plan/plan_serde.h"
 #include "plan/planner.h"
@@ -46,7 +47,8 @@ class TaskHttpTest : public ::testing::Test {
     PRESTO_ASSIGN_OR_RETURN(sql::StatementPtr stmt, sql::ParseStatement(sql));
     Planner planner(catalog_.get());
     PRESTO_ASSIGN_OR_RETURN(PlanNodePtr plan, planner.Plan(*stmt));
-    Optimizer optimizer(catalog_.get());
+    MetadataSnapshot snapshot(catalog_.get());
+    Optimizer optimizer(&snapshot);
     PRESTO_ASSIGN_OR_RETURN(plan, optimizer.Optimize(std::move(plan)));
     return Fragmenter().Fragment(plan);
   }
